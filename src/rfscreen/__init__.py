@@ -12,8 +12,8 @@ from .baselines import PcaModel, f_scores, kbest_fscore, pca_fit, pca_transform,
 from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_kfold, write_csv
 from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSpec,
                        SweepRow, convergence_sweep, cross_validate, fit_screener,
-                       grid_search, knn_predict, reduce_full)
-from .forest import (ForestModel, ForestParams, TreeNode, best_split, bootstrap_indices,
+                       grid_search, knn_predict, reduce_full, screen_once_report)
+from .forest import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                      dump_forest, forest_predict, forest_predict_batch, gini_impurity,
                      selection_frequency, train_forest)
 from .rfms import (CanaryAudit, RoundRecord, ScreeningConfig, ScreeningResult,
@@ -27,11 +27,11 @@ __all__ = [
     "CanaryAudit", "ClassifierSpec", "CsvFormatError", "Dataset", "EvaluationReport",
     "FeatureSubset", "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel",
     "Provenance", "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig",
-    "ScreeningResult", "SweepRow", "TreeNode", "augment_with_canaries", "best_split",
+    "ScreeningResult", "SweepRow", "Tree", "augment_with_canaries", "best_split",
     "bootstrap_indices", "canary_audit", "convergence_sweep", "cross_validate",
     "dump_forest", "f_scores", "fit_screener", "forest_predict", "forest_predict_batch",
     "generate", "gini_impurity", "grid_search", "kbest_fscore", "knn_predict",
     "load_csv", "partition_features", "pca_fit", "pca_transform", "permute_features",
-    "random_subset", "reduce_full", "screen", "selection_frequency", "stratified_kfold",
-    "train_forest", "truth_overlap", "write_csv",
+    "random_subset", "reduce_full", "screen", "screen_once_report", "selection_frequency",
+    "stratified_kfold", "train_forest", "truth_overlap", "write_csv",
 ]

@@ -20,19 +20,21 @@ _RANDOM_SUBSET_STREAM = 0x5AB
 def f_scores(dataset: Dataset) -> np.ndarray:
     """One-way ANOVA F statistic of every feature against the class labels.
 
-    F = (between-class mean square) / (within-class mean square).
+    F = (between-class mean square) / (within-class mean square), over the
+    classes present in the labels.
     Globally constant features score 0; features with zero within-class
     variance but distinct class means score +inf.
     """
-    if dataset.n_classes < 2:
+    classes = np.unique(dataset.labels)
+    if classes.size < 2:
         raise ValueError("F-scores need at least 2 classes")
     X = dataset.features
     y = dataset.labels
-    n, k = dataset.n_samples, dataset.n_classes
+    n, k = dataset.n_samples, classes.size
     grand_mean = X.mean(axis=0)
     ss_between = np.zeros(dataset.n_features)
     ss_within = np.zeros(dataset.n_features)
-    for cls in range(1, k + 1):
+    for cls in classes:
         rows = X[y == cls]
         cls_mean = rows.mean(axis=0)
         ss_between += rows.shape[0] * (cls_mean - grand_mean) ** 2

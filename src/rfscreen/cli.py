@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .baselines import kbest_fscore, pca_fit, pca_transform, random_subset
 from .data import CsvFormatError, Dataset, load_csv, write_csv
-from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSpec,
-                       convergence_sweep, cross_validate, grid_search)
+from .evaluate import (ClassifierSpec, EvaluationReport, ScreenerSpec, convergence_sweep,
+                       grid_search, screen_once_report)
 from .forest import ForestParams
 from .rfms import ScreeningConfig, augment_with_canaries, screen
 from .serialize import (pca_document, pca_model_from_document, read_json,
@@ -411,25 +411,9 @@ def cmd_evaluate(args) -> int:
                              n_threads=n_threads)
     else:
         reduced = _selection_from_document(doc, dataset)
-        screener_label = f"{doc['screener']['name']}({reduced.n_features})"
-        screening_cpu = float(doc["timing"]["cpu_s"])
-        entries = []
-        best_index = 0
-        for c_spec in grid:
-            cell = cross_validate(reduced, ScreenerSpec("identity"), c_spec,
-                                  folds=folds, seed=seed, n_threads=n_threads)
-            entries.append(ReportEntry(
-                screener_id=screener_label,
-                classifier_id=cell.classifier_id,
-                n_features_out=reduced.n_features,
-                fold_accuracies=cell.fold_accuracies,
-                mean_accuracy=cell.mean_accuracy,
-                screening_cpu_s=screening_cpu,
-                fitting_cpu_s=cell.fitting_cpu_s,
-            ))
-            if entries[-1].mean_accuracy > entries[best_index].mean_accuracy:
-                best_index = len(entries) - 1
-        report = EvaluationReport(entries=tuple(entries), best_index=best_index)
+        report = screen_once_report(
+            reduced, f"{doc['screener']['name']}({reduced.n_features})",
+            float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed, n_threads=n_threads)
 
     base = _write_report(report, folds, args.out)
     for entry in report.entries:

@@ -66,6 +66,9 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
+        """Largest class id: the bound that sizes per-class count arrays.
+
+        Ids below it may be absent, as in a training fold or a subset."""
         return int(self.labels.max()) if self.labels.size else 0
 
     def select_features(self, indices) -> "Dataset":

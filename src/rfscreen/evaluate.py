@@ -3,9 +3,10 @@
 ``cross_validate`` is leak-safe by construction: the screener is fitted on
 the training rows of each fold only, then both portions are reduced before
 the classifier sees them.  The screen-once protocol (screen the full table
-up front, then cross-validate classifiers on the reduced view) is available
-through :func:`reduce_full` plus an identity screener, which is also how
-the command-line ``evaluate`` behaves unless asked to re-screen per fold.
+up front, then cross-validate classifiers on the reduced view) is
+:func:`reduce_full` followed by :func:`screen_once_report`, which is also
+how the command-line ``evaluate`` behaves unless asked to re-screen per
+fold.
 
 CPU cost is split into screening seconds (the reduction fit) and fitting
 seconds (classifier training), both measured as process CPU time.
@@ -14,13 +15,13 @@ seconds (classifier training), both measured as process CPU time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .baselines import PcaModel, kbest_fscore, pca_fit, pca_transform, random_subset
 from .data import Dataset, FeatureSubset, stratified_kfold
-from .forest import ForestParams, forest_predict_batch, train_forest
+from .forest import _SCAN_BLOCK_ELEMENTS, ForestParams, forest_predict_batch, train_forest
 from .rfms import ScreeningConfig, screen
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
@@ -143,13 +144,17 @@ def knn_predict(train: Dataset, query, k: int) -> int:
 
 
 def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
-    diffs = queries[:, None, :] - train_X[None, :, :]
-    dist2 = np.sum(diffs * diffs, axis=2)
-    order = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+    # Queries go in blocks whose (queries x train x features) difference
+    # tensor stays under _SCAN_BLOCK_ELEMENTS.  Each distance is still summed
+    # over one query's own row, so blocking changes no sum and no tie order.
+    block = max(1, _SCAN_BLOCK_ELEMENTS // train_X.size)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    for i in range(queries.shape[0]):
-        votes = np.bincount(train_y[order[i]], minlength=n_classes + 1)
-        out[i] = np.argmax(votes)
+    for start in range(0, queries.shape[0], block):
+        diffs = queries[start:start + block, None, :] - train_X[None, :, :]
+        dist2 = np.sum(diffs * diffs, axis=2)
+        nearest = train_y[np.argsort(dist2, axis=1, kind="stable")[:, :k]]
+        votes = (nearest[:, :, None] == np.arange(n_classes + 1)).sum(axis=1)
+        out[start:start + block] = np.argmax(votes, axis=1)
     return out
 
 
@@ -280,6 +285,12 @@ def reduce_full(dataset: Dataset, screener: ScreenerSpec, n_threads: int = 1):
     return reduced, fitted, cpu
 
 
+def _report(entries) -> EvaluationReport:
+    # Highest mean accuracy; max() keeps the earliest of tied cells.
+    best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)
+    return EvaluationReport(entries=tuple(entries), best_index=best)
+
+
 def grid_search(dataset: Dataset, screener_grid, classifier_grid,
                 folds: int = 5, seed: int = 20230125, n_threads: int = 1) -> EvaluationReport:
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
@@ -291,16 +302,27 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     classifier_grid = list(classifier_grid)
     if not screener_grid or not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
-    entries = []
-    best_index = 0
-    for s_spec in screener_grid:
-        for c_spec in classifier_grid:
-            entry = cross_validate(dataset, s_spec, c_spec, folds=folds, seed=seed,
-                                   n_threads=n_threads)
-            entries.append(entry)
-            if entry.mean_accuracy > entries[best_index].mean_accuracy:
-                best_index = len(entries) - 1
-    return EvaluationReport(entries=tuple(entries), best_index=best_index)
+    entries = [cross_validate(dataset, s_spec, c_spec, folds=folds, seed=seed,
+                              n_threads=n_threads)
+               for s_spec in screener_grid for c_spec in classifier_grid]
+    return _report(entries)
+
+
+def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: float,
+                       classifier_grid, folds: int = 5, seed: int = 20230125,
+                       n_threads: int = 1) -> EvaluationReport:
+    """Screen-once protocol: cross-validate classifiers on an already-reduced view.
+
+    ``reduced`` is the whole table after one screen; every cell is reported
+    under ``screener_id`` with that screen's ``screening_cpu_s``.  The best
+    cell follows :func:`grid_search`'s rule.
+    """
+    return _report([
+        replace(cross_validate(reduced, ScreenerSpec("identity"), c_spec, folds=folds,
+                               seed=seed, n_threads=n_threads),
+                screener_id=screener_id, screening_cpu_s=screening_cpu_s)
+        for c_spec in classifier_grid
+    ])
 
 
 @dataclass(frozen=True)
@@ -331,29 +353,18 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
     for count in counts:
         spec = screener.with_n_out(count)
         if leak_safe:
-            cells = [cross_validate(dataset, spec, c_spec, folds=folds, seed=seed,
-                                    n_threads=n_threads) for c_spec in classifier_grid]
+            report = grid_search(dataset, [spec], classifier_grid, folds=folds, seed=seed,
+                                 n_threads=n_threads)
         else:
             reduced, _, screening_cpu = reduce_full(dataset, spec, n_threads=n_threads)
-            cells = []
-            for c_spec in classifier_grid:
-                cell = cross_validate(reduced, ScreenerSpec("identity"), c_spec,
-                                      folds=folds, seed=seed, n_threads=n_threads)
-                cells.append(ReportEntry(
-                    screener_id=spec.label(),
-                    classifier_id=cell.classifier_id,
-                    n_features_out=count,
-                    fold_accuracies=cell.fold_accuracies,
-                    mean_accuracy=cell.mean_accuracy,
-                    screening_cpu_s=screening_cpu,
-                    fitting_cpu_s=cell.fitting_cpu_s,
-                ))
-        best = max(range(len(cells)), key=lambda i: cells[i].mean_accuracy)
+            report = screen_once_report(reduced, spec.label(), screening_cpu, classifier_grid,
+                                        folds=folds, seed=seed, n_threads=n_threads)
+        best = report.best
         rows.append(SweepRow(
             n_features_out=count,
-            best_accuracy=cells[best].mean_accuracy,
-            best_classifier_id=cells[best].classifier_id,
-            screening_cpu_s=cells[best].screening_cpu_s,
-            fitting_cpu_s=cells[best].fitting_cpu_s,
+            best_accuracy=best.mean_accuracy,
+            best_classifier_id=best.classifier_id,
+            screening_cpu_s=best.screening_cpu_s,
+            fitting_cpu_s=best.fitting_cpu_s,
         ))
     return rows

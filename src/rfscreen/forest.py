@@ -5,6 +5,8 @@ the whole forest that test it (its selection frequency), not a
 mean-decrease-impurity score.  Everything here is deterministic: tree ``t``
 of a forest draws all of its randomness from an independent stream keyed by
 ``(seed, t)``, so training is bit-reproducible for any worker count.
+A trained tree is a :class:`Tree` of flat per-node arrays; growth,
+prediction, importance and the text dump all work on that one form.
 
 Tie-breaking is total everywhere so results are exactly assertable:
 split ties prefer the lower feature index, then the lower threshold; vote
@@ -64,28 +66,30 @@ class ForestParams:
                 raise ValueError("bootstrap smaller than min_samples_leaf")
 
 
-class TreeNode:
-    """Internal node (feature, threshold, left, right) or leaf (klass, counts)."""
+@dataclass(frozen=True)
+class Tree:
+    """One CART tree as six parallel per-node arrays (scikit-learn's layout).
 
-    __slots__ = ("feature", "threshold", "left", "right", "klass", "counts")
+    Nodes are stored in depth-first, left-first preorder, so node 0 is the
+    root and the left child of internal node ``i`` is ``i + 1``.  A leaf has
+    ``feature == -1``, ``left == right == -1`` and a NaN ``threshold``.  An
+    internal node sends a row left when ``x[feature] <= threshold``.
+    ``counts[i]`` holds the in-bag class counts that reached node ``i``
+    (column ``c`` counts class id ``c + 1``) and ``klass[i]`` is their
+    majority class id, ties to the smallest.
+    """
 
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 klass=None, counts=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.klass = klass
-        self.counts = counts
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    klass: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_features: int
     n_classes: int
     params: ForestParams
@@ -191,33 +195,46 @@ def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> 
     return stream(params.seed, tree_index).integers(0, n_samples, size=n_boot)
 
 
-def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng):
+def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng) -> Tree:
     # Iterative depth-first, left child first, so the per-node candidate
-    # draws consume the stream in a schedule-independent order.
-    root = TreeNode()
-    stack = [(boot_idx, root)]
+    # draws consume the stream in a schedule-independent order.  Popping in
+    # that order is also preorder, so a node's id is the count popped before
+    # it; only a right child's id is unknown until it is popped.
+    feature, threshold, right, counts = [], [], [], []
+    stack = [(boot_idx, -1)]  # (rows, parent if this is a right child else -1)
     n_features = X.shape[1]
     while stack:
-        idx, node = stack.pop()
-        counts = np.bincount(y0[idx], minlength=k).astype(np.int64)
-        n_here = idx.shape[0]
+        idx, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_counts = np.bincount(y0[idx], minlength=k)
+        counts.append(node_counts)
+        right.append(-1)
         split = None
-        if np.count_nonzero(counts) > 1 and n_here >= 2 * msl:
+        if np.count_nonzero(node_counts) > 1 and idx.shape[0] >= 2 * msl:
             cand = np.sort(rng.choice(n_features, size=n_subfeatures, replace=False))
             split = _scan_splits(X, y0, idx, cand, k, msl, mpi)
         if split is None:
-            node.klass = int(np.argmax(counts)) + 1
-            node.counts = counts
+            feature.append(-1)
+            threshold.append(np.nan)
             continue
-        feature, threshold, _ = split
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
-        mask = X[idx, feature] <= threshold
-        stack.append((idx[~mask], node.right))
-        stack.append((idx[mask], node.left))
-    return root
+        f, thr, _ = split
+        feature.append(f)
+        threshold.append(thr)
+        mask = X[idx, f] <= thr
+        stack.append((idx[~mask], node))
+        stack.append((idx[mask], -1))
+    feature = np.array(feature, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    return Tree(
+        feature=feature,
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.where(feature >= 0, np.arange(1, feature.shape[0] + 1), -1),
+        right=np.array(right, dtype=np.int64),
+        klass=np.argmax(counts, axis=1) + 1,
+        counts=counts,
+    )
 
 
 def train_forest(dataset: Dataset, params: ForestParams, n_threads: int = 1) -> ForestModel:
@@ -236,7 +253,7 @@ def train_forest(dataset: Dataset, params: ForestParams, n_threads: int = 1) -> 
     n = dataset.n_samples
     n_boot = int(params.partial_sampling * n)
 
-    def build(tree_index: int) -> TreeNode:
+    def build(tree_index: int) -> Tree:
         rng = stream(params.seed, tree_index)
         boot = rng.integers(0, n, size=n_boot)
         return _grow_tree(X, y0, boot, k, params.n_subfeatures,
@@ -251,56 +268,52 @@ def train_forest(dataset: Dataset, params: ForestParams, n_threads: int = 1) -> 
                        n_classes=k, params=params)
 
 
-def _walk(node: TreeNode, x) -> int:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.klass
-
-
-def forest_predict(model: ForestModel, features) -> int:
-    """Majority vote over trees; ties go to the smallest class id."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected a vector of length {model.n_features}")
-    votes = np.bincount([_walk(t, x) for t in model.trees], minlength=model.n_classes + 1)
-    return int(np.argmax(votes))
+def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    # Level-by-level descent: every row still at an internal node moves one
+    # level down per pass, so the loop runs once per level, not per row.
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(tree.feature[node] >= 0)
+    while rows.size:
+        at = node[rows]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        rows = rows[tree.feature[node[rows]] >= 0]
+    return tree.klass[node]
 
 
 def forest_predict_batch(model: ForestModel, X) -> np.ndarray:
-    """Vectorized-ish convenience wrapper over :func:`forest_predict`."""
+    """Majority vote over trees for each row; ties go to the smallest class id."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected a matrix with {model.n_features} columns")
-    nc = model.n_classes + 1
-    votes = np.zeros((X.shape[0], nc), dtype=np.int64)
+    votes = np.zeros((X.shape[0], model.n_classes + 1), dtype=np.int64)
+    rows = np.arange(X.shape[0])
     for tree in model.trees:
-        for i in range(X.shape[0]):
-            votes[i, _walk(tree, X[i])] += 1
-    return np.argmax(votes, axis=1).astype(np.int64)
+        votes[rows, _tree_predict(tree, X)] += 1
+    return np.argmax(votes, axis=1)
+
+
+def forest_predict(model: ForestModel, features) -> int:
+    """:func:`forest_predict_batch` for a single row."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.shape != (model.n_features,):
+        raise ValueError(f"expected a vector of length {model.n_features}")
+    return int(forest_predict_batch(model, x[None, :])[0])
 
 
 def selection_frequency(model: ForestModel) -> np.ndarray:
     """Per-feature count of internal nodes using that feature, whole forest."""
-    counts = np.zeros(model.n_features, dtype=np.int64)
-    for root in model.trees:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            counts[node.feature] += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return counts
+    used = np.concatenate([tree.feature[tree.feature >= 0] for tree in model.trees])
+    return np.bincount(used, minlength=model.n_features)
 
 
 def dump_forest(model: ForestModel) -> str:
     """Self-describing text dump, one tree per line (debugging aid).
 
-    Each line is a JSON record with the tree's nodes in preorder; an
-    internal node is ``[feature, threshold, left_id, right_id]`` and a leaf
-    is ``["leaf", class_id, counts]``.  The format is stable for a given
-    model but is not a versioned interchange contract.
+    Each line is a JSON record with the tree's nodes in array (preorder)
+    order; an internal node is ``[feature, threshold, left_id, right_id]``
+    and a leaf is ``["leaf", class_id, counts]``.  The format is stable for
+    a given model but is not a versioned interchange contract.
     """
     lines = [json.dumps({
         "kind": "forest",
@@ -308,19 +321,12 @@ def dump_forest(model: ForestModel) -> str:
         "n_features": model.n_features,
         "n_classes": model.n_classes,
     }, sort_keys=True)]
-    for t, root in enumerate(model.trees):
-        nodes = []
-        stack = [(root, None, None)]  # (node, parent record id, child slot)
-        while stack:
-            node, parent, slot = stack.pop()
-            my_id = len(nodes)
-            if parent is not None:
-                nodes[parent][slot] = my_id
-            if node.is_leaf:
-                nodes.append(["leaf", node.klass, [int(c) for c in node.counts]])
-            else:
-                nodes.append([node.feature, node.threshold, None, None])
-                stack.append((node.right, my_id, 3))
-                stack.append((node.left, my_id, 2))
+    for t, tree in enumerate(model.trees):
+        nodes = [
+            [f, thr, lo, hi] if f >= 0 else ["leaf", c, row]
+            for f, thr, lo, hi, c, row in zip(
+                tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                tree.right.tolist(), tree.klass.tolist(), tree.counts.tolist())
+        ]
         lines.append(json.dumps({"tree": t, "nodes": nodes}))
     return "\n".join(lines) + "\n"

@@ -161,7 +161,7 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
     t_wall = time.perf_counter()
     t_cpu = time.process_time()
 
-    if dataset.n_classes < 2:
+    if np.unique(dataset.labels).size < 2:
         raise ValueError("screening needs at least 2 classes; got a single-class dataset")
     config.forest.validate()
     augmented, canary_ids = augment_with_canaries(dataset, config.n_canaries, config.seed)

@@ -45,21 +45,36 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
-def _selected_block(ids, names, canary_ids) -> list[dict]:
+def _envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: float,
+              cpu_s: float, canary_ids=(), leaked_ids=(), transforming: bool = False,
+              **extra) -> dict:
+    """The ``screening_result`` document shared by every screener."""
     canaries = set(canary_ids)
-    return [
-        {"id": i + 1, "name": names[i], "is_canary": i in canaries}
-        for i in ids
-    ]
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "screening_result",
+        "screener": screener,
+        "dataset": dataset_meta,
+        "transforming": transforming,
+        "selected": [{"id": i + 1, "name": names[i], "is_canary": i in canaries}
+                     for i in selected_ids],
+        "timing": {"wall_s": wall_s, "cpu_s": cpu_s},
+        **extra,
+    }
+    if canary_ids:
+        doc["canaries"] = {
+            "ids": [i + 1 for i in canary_ids],
+            "leak_count": len(leaked_ids),
+            "leaked_ids": [i + 1 for i in leaked_ids],
+        }
+    return doc
 
 
 def screening_document(result: ScreeningResult) -> dict:
     """Full multiround screening result, rounds and permutation included."""
     cfg = result.config
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "screening_result",
-        "screener": {
+    return _envelope(
+        {
             "name": "rfms",
             "step_size": cfg.step_size,
             "reduced_size": cfg.reduced_size,
@@ -71,15 +86,14 @@ def screening_document(result: ScreeningResult) -> dict:
             "n_canaries": cfg.n_canaries,
             "random_state": cfg.seed,
         },
-        "dataset": {
+        {
             "n_samples": result.n_samples,
             "n_features": result.n_features_input,
             "n_classes": result.n_classes,
         },
-        "transforming": False,
-        "selected": _selected_block(result.selected.indices, result.feature_names,
-                                    result.canary_ids),
-        "rounds": [
+        result.selected.indices, result.feature_names, result.wall_time_s,
+        result.cpu_time_s, result.canary_ids, result.leaked_ids,
+        rounds=[
             {
                 "round": r.round_index,
                 "chunk_ids": [i + 1 for i in r.chunk_ids],
@@ -90,60 +104,31 @@ def screening_document(result: ScreeningResult) -> dict:
             }
             for r in result.rounds
         ],
-        "permutation": [i + 1 for i in result.permutation],
-        "timing": {"wall_s": result.wall_time_s, "cpu_s": result.cpu_time_s},
-    }
-    if result.canary_ids:
-        doc["canaries"] = {
-            "ids": [i + 1 for i in result.canary_ids],
-            "leak_count": result.leak_count,
-            "leaked_ids": [i + 1 for i in result.leaked_ids],
-        }
-    return doc
+        permutation=[i + 1 for i in result.permutation],
+    )
 
 
 def subset_document(screener: dict, selected_ids, feature_names, dataset_meta: dict,
                     canary_ids=(), leaked_ids=(), wall_s: float = 0.0,
                     cpu_s: float = 0.0) -> dict:
     """Envelope for subset screeners (kbest, random) in the shared schema."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "screening_result",
-        "screener": screener,
-        "dataset": dataset_meta,
-        "transforming": False,
-        "selected": _selected_block(selected_ids, feature_names, canary_ids),
-        "timing": {"wall_s": wall_s, "cpu_s": cpu_s},
-    }
-    if canary_ids:
-        doc["canaries"] = {
-            "ids": [i + 1 for i in canary_ids],
-            "leak_count": len(leaked_ids),
-            "leaked_ids": [i + 1 for i in leaked_ids],
-        }
-    return doc
+    return _envelope(screener, dataset_meta, selected_ids, feature_names, wall_s, cpu_s,
+                     canary_ids, leaked_ids)
 
 
 def pca_document(screener: dict, model: PcaModel, dataset_meta: dict,
                  wall_s: float = 0.0, cpu_s: float = 0.0) -> dict:
     """Envelope for the transforming screener; the model rides along."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "screening_result",
-        "screener": screener,
-        "dataset": dataset_meta,
-        "transforming": True,
-        "selected": [
-            {"id": i + 1, "name": f"pc{i + 1}", "is_canary": False}
-            for i in range(model.n_components)
-        ],
-        "model": {
+    names = [f"pc{i + 1}" for i in range(model.n_components)]
+    return _envelope(
+        screener, dataset_meta, range(model.n_components), names, wall_s, cpu_s,
+        transforming=True,
+        model={
             "mean": model.mean,
             "components": [model.components[:, c] for c in range(model.n_components)],
             "eigenvalues": model.eigenvalues,
         },
-        "timing": {"wall_s": wall_s, "cpu_s": cpu_s},
-    }
+    )
 
 
 def pca_model_from_document(doc: dict) -> PcaModel:

@@ -118,9 +118,26 @@ def oracle_f_scores(X, y):
 
 
 def count_internal_nodes(model):
-    """Recursive traversal, independent of selection_frequency's walk."""
-    def visit(node):
-        if node.is_leaf:
+    """Recursive traversal of the child indices from each root, independent
+    of selection_frequency's count over the feature array."""
+    def visit(tree, node):
+        if tree.feature[node] < 0:
             return 0
-        return 1 + visit(node.left) + visit(node.right)
-    return sum(visit(root) for root in model.trees)
+        return 1 + visit(tree, tree.left[node]) + visit(tree, tree.right[node])
+    return sum(visit(tree, 0) for tree in model.trees)
+
+
+def oracle_forest_predict(model, X):
+    """Row-by-row walk of the child indices, then a majority vote per row
+    with ties to the smallest class id."""
+    out = []
+    for x in np.asarray(X, dtype=np.float64):
+        votes = {}
+        for tree in model.trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            votes[int(tree.klass[node])] = votes.get(int(tree.klass[node]), 0) + 1
+        out.append(max(votes.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+    return np.array(out)

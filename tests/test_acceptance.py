@@ -232,13 +232,13 @@ def test_criterion_7_importance_accounting(capsys):
         counts = selection_frequency(model)
 
         total = 0
-        for root in model.trees:  # independent traversal
-            stack = [root]
+        for tree in model.trees:  # independent traversal of the child indices
+            stack = [0]
             while stack:
                 node = stack.pop()
-                if not node.is_leaf:
+                if tree.feature[node] >= 0:
                     total += 1
-                    stack.extend((node.left, node.right))
+                    stack.extend((tree.left[node], tree.right[node]))
         if int(counts.sum()) != total:
             failures += 1
     elapsed = time.perf_counter() - started

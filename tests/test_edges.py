@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_dataset
+from helpers import make_dataset, oracle_f_scores
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
-                      augment_with_canaries, best_split, dump_forest,
-                      forest_predict_batch, load_csv, partition_features,
+                      augment_with_canaries, best_split, dump_forest, f_scores,
+                      forest_predict_batch, kbest_fscore, load_csv, partition_features,
                       pca_transform, permute_features, pca_fit, screen,
                       selection_frequency, train_forest)
 from rfscreen.cli import main
@@ -120,6 +120,27 @@ class TestPipelineEdges:
         )
         result = screen(ds, config)
         assert len(result.selected) == 3
+
+    def test_single_label_above_one_rejected(self):
+        # Label 2 alone makes the label-id bound 2 while only one class is present.
+        ds = make_dataset(np.random.default_rng(3).normal(size=(12, 4)), [2] * 12)
+        assert ds.n_classes == 2
+        config = ScreeningConfig(step_size=2, reduced_size=1,
+                                 forest=ForestParams(n_trees=2, n_subfeatures=1))
+        with pytest.raises(ValueError, match="single-class"):
+            screen(ds, config)
+        with pytest.raises(ValueError, match="2 classes"):
+            f_scores(ds)
+
+    def test_sparse_label_ids_score_the_present_classes(self):
+        rng = np.random.default_rng(8)
+        y = np.array([1, 3] * 10)
+        X = rng.normal(size=(20, 6))
+        X[:, 4] += 3.0 * y
+        ds = make_dataset(X, y)
+        f = f_scores(ds)
+        assert np.allclose(f, oracle_f_scores(X, y))
+        assert kbest_fscore(ds, 1).indices == (4,)
 
 
 class TestPcaEdges:

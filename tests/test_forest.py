@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
-                     random_split_instance)
-from rfscreen import (ForestParams, TreeNode, best_split, bootstrap_indices,
+                     oracle_forest_predict, random_split_instance)
+from rfscreen import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                       dump_forest, forest_predict, forest_predict_batch,
                       gini_impurity, selection_frequency, train_forest)
 
@@ -92,10 +92,9 @@ class TestTrainForest:
         ds = make_dataset(X, y)
         model = train_forest(ds, _params(n_trees=1, n_subfeatures=5,
                                          partial_sampling=1.0))
-        root = model.trees[0]
-        assert not root.is_leaf
-        assert root.feature == 3
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = model.trees[0]
+        assert tree.feature[0] == 3
+        assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1
 
     def test_deterministic_across_workers(self):
         ds = _random_training_set(9)
@@ -134,47 +133,51 @@ class TestTrainForest:
                                          min_purity_increase=mpi))
         for t in range(len(model.trees)):
             idx = bootstrap_indices(model.params, ds.n_samples, t)
-            stack = [(model.trees[t], idx)]
+            tree = model.trees[t]
+            stack = [(0, idx)]
             while stack:
                 node, members = stack.pop()
-                if node.is_leaf:
+                feature = tree.feature[node]
+                if feature < 0:
                     assert members.shape[0] >= msl
                     continue
-                got = best_split(ds, members, [node.feature],
+                got = best_split(ds, members, [feature],
                                  min_samples_leaf=msl, min_purity_increase=mpi)
                 assert got is not None and got[2] >= mpi
-                mask = ds.features[members, node.feature] <= node.threshold
-                stack.append((node.left, members[mask]))
-                stack.append((node.right, members[~mask]))
+                mask = ds.features[members, feature] <= tree.threshold[node]
+                stack.append((tree.left[node], members[mask]))
+                stack.append((tree.right[node], members[~mask]))
+
+
+def _tree(feature, threshold, left, right, klass, k=2):
+    """A hand-built tree; each node's counts hold one sample of its class."""
+    klass = np.asarray(klass, dtype=np.int64)
+    counts = np.zeros((klass.shape[0], k), dtype=np.int64)
+    counts[np.arange(klass.shape[0]), klass - 1] = 1
+    return Tree(feature=np.asarray(feature, dtype=np.int64),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int64),
+                right=np.asarray(right, dtype=np.int64), klass=klass, counts=counts)
 
 
 def _stump(feature, threshold, left_class, right_class, k=2):
-    def leaf(c):
-        counts = np.zeros(k, dtype=np.int64)
-        counts[c - 1] = 1
-        return TreeNode(klass=c, counts=counts)
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=leaf(left_class), right=leaf(right_class))
+    return _tree([feature, -1, -1], [threshold, np.nan, np.nan], [1, -1, -1],
+                 [2, -1, -1], [left_class, left_class, right_class], k)
 
 
 def _leaf_only_model(classes, n_features=4):
-    from rfscreen import ForestModel
     k = max(classes)
-    trees = []
-    for c in classes:
-        counts = np.zeros(k, dtype=np.int64)
-        counts[c - 1] = 1
-        trees.append(TreeNode(klass=c, counts=counts))
+    trees = [_tree([-1], [np.nan], [-1], [-1], [c], k) for c in classes]
     return ForestModel(trees=trees, n_features=n_features, n_classes=k,
                        params=_params(n_trees=len(classes)))
 
 
 class TestForestPredict:
     def test_stump_routes_left(self):
-        from rfscreen import ForestModel
         model = ForestModel(trees=[_stump(0, 1.0, left_class=1, right_class=2)],
                             n_features=2, n_classes=2, params=_params(n_trees=1))
         assert forest_predict(model, [0.5, 9.9]) == 1
+        assert forest_predict(model, [1.0, 9.9]) == 1  # x == threshold goes left
         assert forest_predict(model, [1.5, 9.9]) == 2
 
     def test_majority_vote(self):
@@ -190,10 +193,16 @@ class TestForestPredict:
         with pytest.raises(ValueError):
             forest_predict(model, [0.0] * 5)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_matches_row_walk_oracle(self, seed):
+        ds = _random_training_set(200 + seed, k=4)
+        model = train_forest(ds, _params(n_trees=9, n_subfeatures=3, seed=seed))
+        X = np.vstack([ds.features, np.random.default_rng(seed).normal(size=(30, 6)) * 3])
+        assert np.array_equal(forest_predict_batch(model, X), oracle_forest_predict(model, X))
+
 
 class TestSelectionFrequency:
     def test_single_stump(self):
-        from rfscreen import ForestModel
         model = ForestModel(trees=[_stump(3, 0.0, 1, 2)], n_features=6, n_classes=2,
                             params=_params(n_trees=1))
         counts = selection_frequency(model)
