@@ -168,18 +168,15 @@ def _load_dataset(args) -> Dataset:
         raise ValidationError(str(exc)) from None
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("RFSCREEN_THREADS", "1")
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(f"RFSCREEN_THREADS={env!r} is not an integer") from None
+def _check_threads(args) -> None:
+    # Validated for old configs but unused: a forest grows in one batched pass.
+    env = os.environ.get("RFSCREEN_THREADS", "1")
+    try:
+        value = args.threads if args.threads is not None else int(env)
+    except ValueError:
+        raise ValidationError(f"RFSCREEN_THREADS={env!r} is not an integer") from None
     if value < 1:
         raise ValidationError("--threads must be at least 1")
-    return value
 
 
 def _auto_subfeatures(explicit: int, pool: int) -> int:
@@ -239,7 +236,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _screen_rfms(dataset: Dataset, cfg: dict, n_threads: int) -> dict:
+def _screen_rfms(dataset: Dataset, cfg: dict) -> dict:
     if cfg["step-size"] is None:
         raise ValidationError("config key 'step-size' is required for rfms")
     n_aug = dataset.n_features + cfg["n-canaries"]
@@ -265,7 +262,7 @@ def _screen_rfms(dataset: Dataset, cfg: dict, n_threads: int) -> dict:
         config.forest.validate()
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    result = screen(dataset, config, n_threads=n_threads)
+    result = screen(dataset, config)
     return screening_document(result)
 
 
@@ -312,12 +309,12 @@ def cmd_screen(args) -> int:
     cfg = _load_config(args, _SCREEN_KEYS, "screen")
     if not args.out:
         raise ValidationError("--out is required")
-    n_threads = _threads(args)
+    _check_threads(args)
     dataset = _load_dataset(args)
     if dataset.n_classes < 2:
         raise ValidationError("dataset has a single class; screening is undefined")
     if args.screener == "rfms":
-        doc = _screen_rfms(dataset, cfg, n_threads)
+        doc = _screen_rfms(dataset, cfg)
     else:
         doc = _screen_baseline(dataset, args.screener, cfg)
     write_json(doc, args.out)
@@ -395,7 +392,7 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("--out is required")
     if not args.result:
         raise ValidationError("--result is required")
-    n_threads = _threads(args)
+    _check_threads(args)
     dataset = _load_dataset(args)
     try:
         doc = read_json(args.result)
@@ -407,13 +404,12 @@ def cmd_evaluate(args) -> int:
 
     if args.leak_safe:
         spec = _screener_spec_from_document(doc)
-        report = grid_search(dataset, [spec], grid, folds=folds, seed=seed,
-                             n_threads=n_threads)
+        report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         reduced = _selection_from_document(doc, dataset)
         report = screen_once_report(
             reduced, f"{doc['screener']['name']}({reduced.n_features})",
-            float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed, n_threads=n_threads)
+            float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
 
     base = _write_report(report, folds, args.out)
     for entry in report.entries:
@@ -429,7 +425,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args, _SWEEP_KEYS, "sweep")
     if not args.out:
         raise ValidationError("--out is required")
-    n_threads = _threads(args)
+    _check_threads(args)
     dataset = _load_dataset(args)
     if dataset.n_classes < 2:
         raise ValidationError("dataset has a single class; evaluation is undefined")
@@ -465,7 +461,7 @@ def cmd_sweep(args) -> int:
         spec = ScreenerSpec("kbest")
     grid = _classifier_grid(cfg, args.classifier)
     rows = convergence_sweep(dataset, spec, grid, counts, folds=cfg["folds"],
-                             seed=seed, leak_safe=args.leak_safe, n_threads=n_threads)
+                             seed=seed, leak_safe=args.leak_safe)
     base = Path(args.out)
     if base.suffix == ".json":
         base = base.with_suffix("")
@@ -512,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override random-state")
         p.add_argument("--threads", type=int,
-                       help="worker cap (default: $RFSCREEN_THREADS or 1)")
+                       help="checked (>= 1) but unused (default: $RFSCREEN_THREADS or 1)")
         p.add_argument("--label-column", default="label")
         if data:
             p.add_argument("--data", help="input dataset CSV")

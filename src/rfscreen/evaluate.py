@@ -21,11 +21,12 @@ import numpy as np
 
 from .baselines import PcaModel, kbest_fscore, pca_fit, pca_transform, random_subset
 from .data import Dataset, FeatureSubset, stratified_kfold
-from .forest import _SCAN_BLOCK_ELEMENTS, ForestParams, forest_predict_batch, train_forest
+from .forest import ForestParams, forest_predict_batch, train_forest
 from .rfms import ScreeningConfig, screen
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
 CLASSIFIER_NAMES = ("knn", "rf", "majority")
+_SCAN_BLOCK_ELEMENTS = 1 << 22  # see _knn_batch
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class FittedScreener:
         return np.asarray(features)[:, list(self.selected.indices)]
 
 
-def fit_screener(spec: ScreenerSpec, train: Dataset, n_threads: int = 1) -> FittedScreener:
+def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
     """Fit the screener named by ``spec`` on training data only."""
     p = spec.params
     if spec.name == "identity":
@@ -120,7 +121,7 @@ def fit_screener(spec: ScreenerSpec, train: Dataset, n_threads: int = 1) -> Fitt
         n_canaries=int(p.get("n_canaries", 0)),
         seed=int(p.get("seed", 20230125)),
     )
-    result = screen(train, config, n_threads=n_threads)
+    result = screen(train, config)
     if result.leak_count:
         raise RuntimeError(
             f"screen selected {result.leak_count} canary feature(s); "
@@ -165,7 +166,7 @@ class _FittedClassifier:
 
 
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
-                   n_classes: int, n_threads: int = 1) -> _FittedClassifier:
+                   n_classes: int) -> _FittedClassifier:
     p = spec.params
     if spec.name == "majority":
         klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
@@ -190,7 +191,7 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
     )
     train = Dataset(features=train_X, labels=train_y,
                     feature_names=tuple(f"c{i}" for i in range(train_X.shape[1])))
-    model = train_forest(train, params, n_threads=n_threads)
+    model = train_forest(train, params)
     return _FittedClassifier(lambda X: forest_predict_batch(model, X), spec.label())
 
 
@@ -218,8 +219,7 @@ class EvaluationReport:
 
 
 def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: ClassifierSpec,
-                   folds: int = 5, seed: int = 20230125, folds_idx=None,
-                   n_threads: int = 1) -> ReportEntry:
+                   folds: int = 5, seed: int = 20230125, folds_idx=None) -> ReportEntry:
     """Fold-internal screening and classification; returns the cell entry.
 
     The screener only ever sees training rows, so the reported accuracy is
@@ -238,18 +238,17 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
         train = Dataset(features=dataset.features[train_rows],
                         labels=dataset.labels[train_rows],
                         feature_names=dataset.feature_names)
-        if screener.name == "identity":
-            fitted = fit_screener(screener, train)
-        else:
-            t0 = time.process_time()
-            fitted = fit_screener(screener, train, n_threads=n_threads)
+        if np.unique(train.labels).size < 2:
+            raise ValueError("a training fold holds a single class; cross-validation needs 2")
+        t0 = time.process_time()
+        fitted = fit_screener(screener, train)
+        if screener.name != "identity":
             screening_cpu += time.process_time() - t0
         n_out = fitted.n_out
         reduced_train = fitted.reduce(train.features)
         reduced_test = fitted.reduce(dataset.features[test_rows])
         t0 = time.process_time()
-        clf = fit_classifier(classifier, reduced_train, train.labels,
-                             dataset.n_classes, n_threads=n_threads)
+        clf = fit_classifier(classifier, reduced_train, train.labels, dataset.n_classes)
         fitting_cpu += time.process_time() - t0
         predictions = clf.predict(reduced_test)
         accuracies.append(float(np.mean(predictions == dataset.labels[test_rows])))
@@ -264,14 +263,14 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
     )
 
 
-def reduce_full(dataset: Dataset, screener: ScreenerSpec, n_threads: int = 1):
+def reduce_full(dataset: Dataset, screener: ScreenerSpec):
     """Screen-once protocol: fit on the whole table, return (view, entry_meta).
 
     The returned dataset is the reduced view of all rows; screening CPU
     seconds are measured here so downstream cells can report them.
     """
     t0 = time.process_time()
-    fitted = fit_screener(screener, dataset, n_threads=n_threads)
+    fitted = fit_screener(screener, dataset)
     cpu = 0.0 if screener.name == "identity" else time.process_time() - t0
     reduced = Dataset(
         features=fitted.reduce(dataset.features),
@@ -292,7 +291,7 @@ def _report(entries) -> EvaluationReport:
 
 
 def grid_search(dataset: Dataset, screener_grid, classifier_grid,
-                folds: int = 5, seed: int = 20230125, n_threads: int = 1) -> EvaluationReport:
+                folds: int = 5, seed: int = 20230125) -> EvaluationReport:
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
 
     Ties keep the earliest cell in grid order (screeners outer, classifiers
@@ -302,15 +301,13 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     classifier_grid = list(classifier_grid)
     if not screener_grid or not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
-    entries = [cross_validate(dataset, s_spec, c_spec, folds=folds, seed=seed,
-                              n_threads=n_threads)
+    entries = [cross_validate(dataset, s_spec, c_spec, folds=folds, seed=seed)
                for s_spec in screener_grid for c_spec in classifier_grid]
     return _report(entries)
 
 
 def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: float,
-                       classifier_grid, folds: int = 5, seed: int = 20230125,
-                       n_threads: int = 1) -> EvaluationReport:
+                       classifier_grid, folds: int = 5, seed: int = 20230125) -> EvaluationReport:
     """Screen-once protocol: cross-validate classifiers on an already-reduced view.
 
     ``reduced`` is the whole table after one screen; every cell is reported
@@ -319,7 +316,7 @@ def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: floa
     """
     return _report([
         replace(cross_validate(reduced, ScreenerSpec("identity"), c_spec, folds=folds,
-                               seed=seed, n_threads=n_threads),
+                               seed=seed),
                 screener_id=screener_id, screening_cpu_s=screening_cpu_s)
         for c_spec in classifier_grid
     ])
@@ -336,7 +333,7 @@ class SweepRow:
 
 def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
                       counts, folds: int = 5, seed: int = 20230125,
-                      leak_safe: bool = False, n_threads: int = 1) -> list[SweepRow]:
+                      leak_safe: bool = False) -> list[SweepRow]:
     """Best accuracy as a function of the number of screened features.
 
     One row per requested count.  By default each count screens the whole
@@ -353,12 +350,11 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
     for count in counts:
         spec = screener.with_n_out(count)
         if leak_safe:
-            report = grid_search(dataset, [spec], classifier_grid, folds=folds, seed=seed,
-                                 n_threads=n_threads)
+            report = grid_search(dataset, [spec], classifier_grid, folds=folds, seed=seed)
         else:
-            reduced, _, screening_cpu = reduce_full(dataset, spec, n_threads=n_threads)
+            reduced, _, screening_cpu = reduce_full(dataset, spec)
             report = screen_once_report(reduced, spec.label(), screening_cpu, classifier_grid,
-                                        folds=folds, seed=seed, n_threads=n_threads)
+                                        folds=folds, seed=seed)
         best = report.best
         rows.append(SweepRow(
             n_features_out=count,

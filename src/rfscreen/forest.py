@@ -4,7 +4,7 @@ The importance of a feature is the number of internal split nodes across
 the whole forest that test it (its selection frequency), not a
 mean-decrease-impurity score.  Everything here is deterministic: tree ``t``
 of a forest draws all of its randomness from an independent stream keyed by
-``(seed, t)``, so training is bit-reproducible for any worker count.
+``(seed, t)``, so training is bit-reproducible however trees are batched.
 A trained tree is a :class:`Tree` of flat per-node arrays; growth,
 prediction, importance and the text dump all work on that one form.
 
@@ -16,7 +16,6 @@ and leaf-label ties prefer the smallest class id.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,66 +104,92 @@ def gini_impurity(class_counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-# cap on the (samples x features x classes) work array of one split scan
-_SCAN_BLOCK_ELEMENTS = 1 << 22
+# cap on the (row, candidate feature) elements of one batched scan pass
+_PASS_ELEMENTS = 1 << 14
 
 
-def _scan_splits(X, y0, idx, cand, k, msl, mpi):
-    """Best admissible split over sorted candidate columns, or None.
+def _dense_ranks(X) -> np.ndarray:
+    """Per-column dense ranks, built a column at a time in the smallest type."""
+    ranks = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0]))
+    for j in range(X.shape[1]):
+        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    return ranks
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    Returns ``(feature, threshold, decrease)`` maximizing the weighted Gini
-    decrease, ties resolved toward the lower feature index, then the lower
-    threshold.  Candidates are scanned in ascending-feature blocks with
-    strict improvement between blocks, so chunking never changes the
-    winner.
+
+def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
+    """Best admissible ``(feature, threshold, decrease)``, or None, of each
+    impure job ``(rows, sorted candidates, class counts)``, in one pass.
+
+    A segment is one job's rows sorted by one candidate.  Moving a row with
+    ``m`` same-class rows ahead of it (``t`` in the node) to the left adds
+    ``2m + 1`` to the left sum of squared class counts and takes
+    ``2(t - m) - 1`` from the right one, so each boundary's proxy
+    ``(S_L/n_L + S_R/n_R)/s``, the Gini decrease plus a per-node constant,
+    costs O(1).  Boundaries within 1e-9 of their node's best proxy are
+    re-scored with the exact k-wide float expression, which alone decides
+    ties (lower feature, then lower threshold) and the ``mpi`` cut.
     """
-    s = idx.shape[0]
-    if s < 2:
-        return None
-    counts = np.bincount(y0[idx], minlength=k).astype(np.int64)
-    if np.count_nonzero(counts) < 2:
-        return None  # pure node: nothing to gain
-    p = counts / s
-    g_parent = 1.0 - np.sum(p * p)
+    size = np.array([rows.size for rows, *_ in jobs])
+    seg_job = np.repeat(np.arange(len(jobs)), [cand.size for _, cand, _ in jobs])
+    seg_feat = np.concatenate([cand for _, cand, _ in jobs])
+    seg_len = size[seg_job]
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg = np.repeat(np.arange(seg_job.size), seg_len)
+    at = np.arange(seg.size)
+    counts = np.array([c for *_, c in jobs])
+    row = np.concatenate([np.tile(rows, cand.size) for rows, cand, _ in jobs])
+    key = seg * X.shape[0] + ranks[row, seg_feat[seg]]
+    order = np.argsort(key)
+    row, key = row[order], key[order]
 
-    n_left = np.arange(1, s, dtype=np.int64)
-    n_right = s - n_left
-    size_mask = (n_left >= msl)[:, None] & (n_right >= msl)[:, None]
-    block = max(1, _SCAN_BLOCK_ELEMENTS // (s * k))
-    best = None
+    # Class runs within each segment: a stable sort on the label alone keeps
+    # the segment order, and a small label type lets numpy radix-sort it.
+    label = y0[row]
+    by_class = np.argsort(label.astype(np.min_scalar_type(k - 1)), kind="stable")
+    runs = (label * seg_job.size + seg)[by_class]
+    first = np.flatnonzero(np.diff(runs, prepend=-1))
+    run = np.diff(first, append=seg.size)
+    gain = np.empty_like(at)  # 2m + 1
+    gain[by_class] = 2 * (at - np.repeat(first, run)) + 1
+    total = np.empty_like(at)  # t
+    total[by_class] = np.repeat(run, run)
 
-    for start in range(0, cand.shape[0], block):
-        cb = cand[start:start + block]
-        sub = X[np.ix_(idx, cb)]
-        order = np.argsort(sub, axis=0)
-        sorted_vals = np.take_along_axis(sub, order, axis=0)
-        sorted_labels = y0[idx][order]
+    n_left = at - seg_start[seg] + 1
+    n_right = seg_len[seg] - n_left
+    ok = np.flatnonzero((n_left >= msl) & (n_right >= max(msl, 1))
+                        & (np.diff(key, append=-1) != 0))
 
-        onehot = sorted_labels[:, :, None] == np.arange(k)
-        left_counts = np.cumsum(onehot, axis=0, dtype=np.int64)[:-1]
-        right_counts = counts[None, None, :] - left_counts
+    def seg_cumsum(v):
+        c = np.cumsum(v)
+        return c[ok] - (c[seg_start] - v[seg_start])[seg[ok]]
 
-        pl = left_counts / n_left[:, None, None]
-        g_left = 1.0 - np.sum(pl * pl, axis=2)
-        pr = right_counts / n_right[:, None, None]
-        g_right = 1.0 - np.sum(pr * pr, axis=2)
-        decrease = (g_parent - (n_left / s)[:, None] * g_left
-                    - (n_right / s)[:, None] * g_right)
+    job = seg_job[seg[ok]]
+    s_left = seg_cumsum(gain)
+    s_right = np.sum(counts * counts, axis=1)[job] - 2 * seg_cumsum(total) + s_left
+    proxy = (s_left / n_left[ok] + s_right / n_right[ok]) / size[job]
+    head = np.flatnonzero(np.diff(job, prepend=-1))
+    best = np.repeat(np.maximum.reduceat(proxy, head), np.diff(head, append=ok.size))
+    near = ok[proxy >= best - 1e-9]  # the proxy's float error is about 1e-15
 
-        admissible = (sorted_vals[1:] > sorted_vals[:-1]) & size_mask & (decrease >= mpi)
-        scores = np.where(admissible, decrease, -np.inf)
-        # Feature-major flattening makes argmax honor the tie order.
-        flat = np.ascontiguousarray(scores.T).ravel()
-        at = int(np.argmax(flat))
-        if flat[at] == -np.inf:
-            continue
-        if best is None or flat[at] > best[2]:
-            f_pos, boundary = divmod(at, s - 1)
-            threshold = (sorted_vals[boundary, f_pos]
-                         + sorted_vals[boundary + 1, f_pos]) / 2.0
-            best = (int(cb[f_pos]), float(threshold), float(flat[at]))
-    return best
+    # left class counts at the near boundaries: binary search in the runs
+    runs = runs * seg.size + by_class
+    lo = (np.arange(k) * seg_job.size + seg[near, None]) * seg.size
+    left = np.searchsorted(runs, lo + near[:, None], side="right") - np.searchsorted(runs, lo)
+    job = seg_job[seg[near]]
+    s, nl, nr = size[job], n_left[near], n_right[near]
+    p, pl, pr = counts / size[:, None], left / nl[:, None], (counts[job] - left) / nr[:, None]
+    decrease = ((1.0 - np.sum(p * p, axis=1))[job]
+                - (nl / s) * (1.0 - np.sum(pl * pl, axis=1))
+                - (nr / s) * (1.0 - np.sum(pr * pr, axis=1)))
+
+    out = [None] * len(jobs)
+    keep = np.flatnonzero(decrease >= mpi)
+    keep = keep[np.lexsort((near[keep], -decrease[keep], job[keep]))]
+    for i in keep[np.unique(job[keep], return_index=True)[1]]:
+        e, f = near[i], seg_feat[seg[near[i]]]
+        out[job[i]] = (int(f), float((X[row[e], f] + X[row[e + 1], f]) / 2.0),
+                       float(decrease[i]))
+    return out
 
 
 def best_split(dataset: Dataset, sample_indices, candidate_features,
@@ -173,7 +198,8 @@ def best_split(dataset: Dataset, sample_indices, candidate_features,
 
     Both children of an admissible split hold at least ``min_samples_leaf``
     samples and its weighted Gini decrease is at least
-    ``min_purity_increase``.
+    ``min_purity_increase``.  Ties go to the lower feature index, then the
+    lower threshold.
     """
     idx = np.asarray(sample_indices, dtype=np.int64)
     if idx.shape[0] < 2:
@@ -183,10 +209,14 @@ def best_split(dataset: Dataset, sample_indices, candidate_features,
         return None
     if cand.min() < 0 or cand.max() >= dataset.n_features:
         raise ValueError("candidate feature index out of range")
-    return _scan_splits(
-        dataset.features, dataset.labels - 1, idx, cand,
-        dataset.n_classes, min_samples_leaf, min_purity_increase,
-    )
+    y0 = dataset.labels - 1
+    counts = np.bincount(y0[idx], minlength=dataset.n_classes)
+    if np.count_nonzero(counts) < 2:
+        return None  # pure node: nothing to gain
+    X = dataset.features[:, cand]
+    split, = _scan_pass(X, _dense_ranks(X), y0, [(idx, np.arange(cand.size), counts)],
+                        dataset.n_classes, min_samples_leaf, min_purity_increase)
+    return None if split is None else (int(cand[split[0]]), *split[1:])
 
 
 def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> np.ndarray:
@@ -195,13 +225,16 @@ def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> 
     return stream(params.seed, tree_index).integers(0, n_samples, size=n_boot)
 
 
-def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng) -> Tree:
+def _grow_tree(X, y0, k, n_boot, n_subfeatures, msl, rng):
+    """Grow one tree as a generator: it yields ``(rows, candidates, class
+    counts)`` for each splittable node, takes that node's best split (or None) back, and
+    returns the finished :class:`Tree`."""
     # Iterative depth-first, left child first, so the per-node candidate
     # draws consume the stream in a schedule-independent order.  Popping in
     # that order is also preorder, so a node's id is the count popped before
     # it; only a right child's id is unknown until it is popped.
     feature, threshold, right, counts = [], [], [], []
-    stack = [(boot_idx, -1)]  # (rows, parent if this is a right child else -1)
+    stack = [(rng.integers(0, X.shape[0], size=n_boot), -1)]  # (rows, parent if right child)
     n_features = X.shape[1]
     while stack:
         idx, parent = stack.pop()
@@ -209,12 +242,12 @@ def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng) -> Tree:
         if parent >= 0:
             right[parent] = node
         node_counts = np.bincount(y0[idx], minlength=k)
-        counts.append(node_counts)
+        counts.extend(node_counts.tolist())
         right.append(-1)
         split = None
         if np.count_nonzero(node_counts) > 1 and idx.shape[0] >= 2 * msl:
             cand = np.sort(rng.choice(n_features, size=n_subfeatures, replace=False))
-            split = _scan_splits(X, y0, idx, cand, k, msl, mpi)
+            split = yield idx, cand, node_counts
         if split is None:
             feature.append(-1)
             threshold.append(np.nan)
@@ -226,7 +259,7 @@ def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng) -> Tree:
         stack.append((idx[~mask], node))
         stack.append((idx[mask], -1))
     feature = np.array(feature, dtype=np.int64)
-    counts = np.array(counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64).reshape(-1, k)
     return Tree(
         feature=feature,
         threshold=np.array(threshold, dtype=np.float64),
@@ -237,12 +270,13 @@ def _grow_tree(X, y0, boot_idx, k, n_subfeatures, msl, mpi, rng) -> Tree:
     )
 
 
-def train_forest(dataset: Dataset, params: ForestParams, n_threads: int = 1) -> ForestModel:
+def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     """Train ``params.n_trees`` bootstrap CART trees.
 
     Tree ``t`` derives bootstrap and per-node feature draws from the stream
-    keyed by ``(params.seed, t)``; the result is identical for any
-    ``n_threads``.
+    keyed by ``(params.seed, t)``.  The trees grow in lockstep: the next
+    splittable nodes of many trees are scanned in one pass, which leaves
+    every tree as it would be grown alone.
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
@@ -250,20 +284,33 @@ def train_forest(dataset: Dataset, params: ForestParams, n_threads: int = 1) -> 
     X = dataset.features
     y0 = dataset.labels - 1
     k = dataset.n_classes
-    n = dataset.n_samples
-    n_boot = int(params.partial_sampling * n)
+    n_boot = int(params.partial_sampling * dataset.n_samples)
+    ranks = _dense_ranks(X)
+    growers = [_grow_tree(X, y0, k, n_boot, params.n_subfeatures, params.min_samples_leaf,
+                          stream(params.seed, t)) for t in range(params.n_trees)]
+    trees, jobs = [None] * params.n_trees, {}
 
-    def build(tree_index: int) -> Tree:
-        rng = stream(params.seed, tree_index)
-        boot = rng.integers(0, n, size=n_boot)
-        return _grow_tree(X, y0, boot, k, params.n_subfeatures,
-                          params.min_samples_leaf, params.min_purity_increase, rng)
+    def advance(t, split):
+        # re-inserting a tree's next job queues it behind the other trees
+        jobs.pop(t, None)
+        try:
+            jobs[t] = growers[t].send(split)
+        except StopIteration as done:
+            trees[t] = done.value
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = list(pool.map(build, range(params.n_trees)))
-    else:
-        trees = [build(t) for t in range(params.n_trees)]
+    for t in range(params.n_trees):
+        advance(t, None)
+    while jobs:
+        batch, elements = [], 0
+        for t, (rows, cand, _) in jobs.items():
+            elements += rows.size * cand.size
+            if batch and elements > _PASS_ELEMENTS:
+                break
+            batch.append(t)
+        splits = _scan_pass(X, ranks, y0, [jobs[t] for t in batch], k,
+                            params.min_samples_leaf, params.min_purity_increase)
+        for t, split in zip(batch, splits):
+            advance(t, split)
     return ForestModel(trees=trees, n_features=dataset.n_features,
                        n_classes=k, params=params)
 

@@ -142,7 +142,8 @@ def augment_with_canaries(dataset: Dataset, n_canaries: int, seed: int):
         raise ValueError(f"dataset already contains canary-reserved names: {sorted(clash)}")
     noise = stream(seed, _CANARY_STREAM).standard_normal((dataset.n_samples, n_canaries))
     augmented = Dataset(
-        features=np.hstack([dataset.features, noise]),
+        # Fortran inputs give a Fortran result, which Dataset does not copy
+        features=np.hstack([dataset.features, np.asfortranarray(noise)]),
         labels=dataset.labels,
         feature_names=dataset.feature_names + names,
     )
@@ -154,9 +155,9 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
     """Run the full multiround screen and return the ordered survivors.
 
     Within a round, importance ties are broken toward the smallest feature
-    id so the whole run is reproducible.  Rounds are strictly sequential;
-    forest training inside a round may use ``n_threads`` workers without
-    changing the result.
+    id so the whole run is reproducible.  Rounds are strictly sequential.
+    ``n_threads`` is accepted for existing callers and has no effect: all
+    trees of a forest already grow in one lockstep batch.
     """
     t_wall = time.perf_counter()
     t_cpu = time.process_time()
@@ -183,7 +184,7 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
             n_subfeatures=min(config.forest.n_subfeatures, pool.shape[0]),
             seed=derive_seed(config.seed, _ROUND_STREAM, i),
         )
-        model = train_forest(augmented.select_features(pool), round_params, n_threads)
+        model = train_forest(augmented.select_features(pool), round_params)
         importance = selection_frequency(model)
         order = np.lexsort((pool, -importance))
         selected = pool[order[:config.reduced_size]]

@@ -59,6 +59,19 @@ class TestCrossValidate:
         assert entry.fold_accuracies == (1.0, 1.0)
         assert entry.mean_accuracy == 1.0
 
+    def test_single_class_training_fold_rejected(self):
+        X = np.arange(12.0)[:, None]
+        one_class = make_dataset(X, [1] * 12)
+        with pytest.raises(ValueError, match="single class"):
+            cross_validate(one_class, ScreenerSpec("identity"),
+                           ClassifierSpec("majority"), folds=3, seed=0)
+        # two classes in the table, but each training fold holds only one
+        rows = np.arange(12)
+        split = make_dataset(X, [1] * 6 + [2] * 6)
+        with pytest.raises(ValueError, match="single class"):
+            cross_validate(split, ScreenerSpec("identity"), ClassifierSpec("knn", {"k": 1}),
+                           folds_idx=[(rows[:6], rows[6:]), (rows[6:], rows[:6])])
+
     def test_majority_dummy_scores_chance(self):
         ds = _blobs(seed=4, n=60, k=3)
         entry = cross_validate(ds, ScreenerSpec("identity"), ClassifierSpec("majority"),

@@ -8,6 +8,7 @@ from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
 from rfscreen import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                       dump_forest, forest_predict, forest_predict_batch,
                       gini_impurity, selection_frequency, train_forest)
+from rfscreen.forest import _dense_ranks, _scan_pass
 
 
 class TestGiniImpurity:
@@ -66,6 +67,40 @@ class TestBestSplit:
         assert best_split(ds, range(4), [0], min_purity_increase=0.6) is None
 
 
+class TestBatchedScan:
+    def test_mixed_jobs_in_one_pass_match_oracle(self):
+        # 240 random nodes, stacked row-wise into one table and scanned as
+        # the jobs of one pass per (min_samples_leaf, min_purity_increase)
+        rng = np.random.default_rng(2024)
+        cases = [random_split_instance(rng) for _ in range(240)]
+        # a zero-gain node: both children keep the parent's class mix
+        cases.append((np.array([[1.0], [1.0], [2.0], [2.0]]), np.array([1, 2, 1, 2]), 1, 0.0))
+        # cuts at 1.5 and 2.5 both gain exactly 1/24; float rounding of the
+        # exact expression, not the lower threshold, makes 2.5 win
+        cases.append((np.array([[3.0], [3.0], [1.0], [2.0], [2.0], [0.0], [2.0], [2.0]]),
+                      np.array([1, 2, 2, 2, 2, 2, 1, 2]), 1, 0.0))
+        X = np.zeros((sum(c[0].shape[0] for c in cases), 5))
+        y, rows, start = [], [], 0
+        for cx, cy, _, _ in cases:
+            X[start:start + cx.shape[0], :cx.shape[1]] = cx
+            rows.append(np.arange(start, start + cx.shape[0]))
+            y.append(cy)
+            start += cx.shape[0]
+        y0 = np.concatenate(y) - 1
+        ranks = _dense_ranks(X)
+        got = {}
+        for msl, mpi in sorted({(c[2], c[3]) for c in cases}):
+            members = [i for i, c in enumerate(cases) if (c[2], c[3]) == (msl, mpi)]
+            jobs = [(rows[i], np.arange(cases[i][0].shape[1]),
+                     np.bincount(y0[rows[i]], minlength=4)) for i in members]
+            got.update(zip(members, _scan_pass(X, ranks, y0, jobs, 4, msl, mpi)))
+        assert len(got) == len(cases)
+        for i, (cx, cy, msl, mpi) in enumerate(cases):
+            assert got[i] == oracle_best_split(cx, cy, range(cx.shape[1]), msl, mpi), i
+        assert got[len(cases) - 2] == (0, 1.5, 0.0)
+        assert got[len(cases) - 1][:2] == (0, 2.5)
+
+
 def _params(**overrides):
     base = dict(n_trees=5, n_subfeatures=2, min_samples_leaf=1,
                 min_purity_increase=0.0, partial_sampling=0.7, seed=42)
@@ -96,11 +131,15 @@ class TestTrainForest:
         assert tree.feature[0] == 3
         assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1
 
-    def test_deterministic_across_workers(self):
+    def test_tree_independent_of_lockstep_batch(self):
+        # trees grow in lockstep batches, so tree t must not depend on which
+        # other trees share its scan passes
         ds = _random_training_set(9)
-        a = train_forest(ds, _params(n_trees=8), n_threads=1)
-        b = train_forest(ds, _params(n_trees=8), n_threads=4)
-        assert dump_forest(a) == dump_forest(b)
+        many = train_forest(ds, _params(n_trees=8))
+        few = train_forest(ds, _params(n_trees=3))
+        for a, b in zip(many.trees[:3], few.trees):
+            for name in ("feature", "threshold", "left", "right", "klass", "counts"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_deterministic_across_calls(self):
         ds = _random_training_set(10)

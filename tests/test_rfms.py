@@ -86,12 +86,12 @@ class TestScreen:
         assert counts[7] == counts.max()
         assert np.sum(counts == counts.max()) == 1
 
-    def test_deterministic_including_thread_count(self):
+    def test_deterministic_across_calls(self):
         ds = _noisy_label_copy_dataset(seed=12, n_features=60)
         config = ScreeningConfig(step_size=20, reduced_size=5,
                                  forest=_forest(n_trees=10), seed=8)
-        a = screen(ds, config, n_threads=1)
-        b = screen(ds, config, n_threads=4)
+        a = screen(ds, config)
+        b = screen(ds, config)
         assert dumps(mask_timing(screening_document(a))) == \
             dumps(mask_timing(screening_document(b)))
 
