@@ -238,7 +238,7 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
         train = Dataset(features=dataset.features[train_rows],
                         labels=dataset.labels[train_rows],
                         feature_names=dataset.feature_names)
-        if np.unique(train.labels).size < 2:
+        if train.labels.min() == train.labels.max():
             raise ValueError("a training fold holds a single class; cross-validation needs 2")
         t0 = time.process_time()
         fitted = fit_screener(screener, train)
