@@ -227,8 +227,8 @@ def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> 
 
 def _grow_tree(X, y0, k, n_boot, n_subfeatures, msl, rng):
     """Grow one tree as a generator: it yields ``(rows, candidates, class
-    counts)`` for each splittable node, takes that node's best split (or None) back, and
-    returns the finished :class:`Tree`."""
+    counts)`` for each splittable node, takes that node's best split (or
+    None) back, and returns the finished :class:`Tree`."""
     # Iterative depth-first, left child first, so the per-node candidate
     # draws consume the stream in a schedule-independent order.  Popping in
     # that order is also preorder, so a node's id is the count popped before
