@@ -116,6 +116,25 @@ def _dense_ranks(X) -> np.ndarray:
     return ranks
 
 
+def _scan(X, ranks, y0, jobs, k, msl, mpi) -> list:
+    """:func:`_scan_pass` in passes of about ``_PASS_ELEMENTS`` elements.  A
+    larger job is cut into candidate pieces; a later piece wins only with a
+    strictly larger decrease, as one scan of the whole job would decide."""
+    pieces = [(j, (rows, cand[i:i + step], counts))
+              for j, (rows, cand, counts) in enumerate(jobs)
+              for step in [max(1, _PASS_ELEMENTS // rows.size)]
+              for i in range(0, cand.size, step)]
+    ends = np.cumsum([rows.size * cand.size for _, (rows, cand, _) in pieces])
+    cuts = np.flatnonzero(np.diff(ends // _PASS_ELEMENTS, prepend=-1, append=-1))
+    out = [None] * len(jobs)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        splits = _scan_pass(X, ranks, y0, [piece for _, piece in pieces[a:b]], k, msl, mpi)
+        for (j, _), split in zip(pieces[a:b], splits):
+            if split is not None and (out[j] is None or split[2] > out[j][2]):
+                out[j] = split
+    return out
+
+
 def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     """Best admissible ``(feature, threshold, decrease)``, or None, of each
     impure job ``(rows, sorted candidates, class counts)``, in one pass.
@@ -149,9 +168,8 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     runs = (label * seg_job.size + seg)[by_class]
     first = np.flatnonzero(np.diff(runs, prepend=-1))
     run = np.diff(first, append=seg.size)
-    gain = np.empty_like(at)  # 2m + 1
+    gain, total = np.empty_like(at), np.empty_like(at)  # 2m + 1 and t
     gain[by_class] = 2 * (at - np.repeat(first, run)) + 1
-    total = np.empty_like(at)  # t
     total[by_class] = np.repeat(run, run)
 
     n_left = at - seg_start[seg] + 1
@@ -214,8 +232,8 @@ def best_split(dataset: Dataset, sample_indices, candidate_features,
     if np.count_nonzero(counts) < 2:
         return None  # pure node: nothing to gain
     X = dataset.features[:, cand]
-    split, = _scan_pass(X, _dense_ranks(X), y0, [(idx, np.arange(cand.size), counts)],
-                        dataset.n_classes, min_samples_leaf, min_purity_increase)
+    split, = _scan(X, _dense_ranks(X), y0, [(idx, np.arange(cand.size), counts)],
+                   dataset.n_classes, min_samples_leaf, min_purity_increase)
     return None if split is None else (int(cand[split[0]]), *split[1:])
 
 
@@ -274,9 +292,9 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     """Train ``params.n_trees`` bootstrap CART trees.
 
     Tree ``t`` derives bootstrap and per-node feature draws from the stream
-    keyed by ``(params.seed, t)``.  The trees grow in lockstep: the next
-    splittable nodes of many trees are scanned in one pass, which leaves
-    every tree as it would be grown alone.
+    keyed by ``(params.seed, t)``.  The trees grow in lockstep: each step
+    scans the next splittable node of every unfinished tree in batched
+    passes, which leaves every tree as it would be grown alone.
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
@@ -291,25 +309,19 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     trees, jobs = [None] * params.n_trees, {}
 
     def advance(t, split):
-        # re-inserting a tree's next job queues it behind the other trees
-        jobs.pop(t, None)
         try:
             jobs[t] = growers[t].send(split)
         except StopIteration as done:
             trees[t] = done.value
+            jobs.pop(t, None)
 
     for t in range(params.n_trees):
         advance(t, None)
-    while jobs:
-        batch, elements = [], 0
-        for t, (rows, cand, _) in jobs.items():
-            elements += rows.size * cand.size
-            if batch and elements > _PASS_ELEMENTS:
-                break
-            batch.append(t)
-        splits = _scan_pass(X, ranks, y0, [jobs[t] for t in batch], k,
-                            params.min_samples_leaf, params.min_purity_increase)
-        for t, split in zip(batch, splits):
+    while jobs:  # one lockstep step: the next splittable node of every tree
+        waiting = list(jobs)
+        splits = _scan(X, ranks, y0, [jobs[t] for t in waiting], k,
+                       params.min_samples_leaf, params.min_purity_increase)
+        for t, split in zip(waiting, splits):
             advance(t, split)
     return ForestModel(trees=trees, n_features=dataset.n_features,
                        n_classes=k, params=params)

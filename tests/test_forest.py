@@ -100,6 +100,19 @@ class TestBatchedScan:
         assert got[len(cases) - 2] == (0, 1.5, 0.0)
         assert got[len(cases) - 1][:2] == (0, 2.5)
 
+    def test_pass_budget_changes_no_result(self, monkeypatch):
+        ds = _random_training_set(21, n=60, f=8)
+        params = _params(n_trees=6, n_subfeatures=8)
+        want = dump_forest(train_forest(ds, params))
+        # a tiny budget cuts every job into candidate pieces over many passes
+        monkeypatch.setattr("rfscreen.forest._PASS_ELEMENTS", 8)
+        assert dump_forest(train_forest(ds, params)) == want
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            X, y, msl, mpi = random_split_instance(rng)
+            got = best_split(make_dataset(X, y), range(X.shape[0]), range(X.shape[1]), msl, mpi)
+            assert got == oracle_best_split(X, y, range(X.shape[1]), msl, mpi)
+
 
 def _params(**overrides):
     base = dict(n_trees=5, n_subfeatures=2, min_samples_leaf=1,
