@@ -166,7 +166,7 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     label = y0[row]
     by_class = np.argsort(label.astype(np.min_scalar_type(k - 1)), kind="stable")
     runs = (label * seg_job.size + seg)[by_class]
-    first = np.flatnonzero(np.diff(runs, prepend=-1))
+    first = np.flatnonzero(np.append(True, runs[1:] != runs[:-1]))
     run = np.diff(first, append=seg.size)
     gain, total = np.empty_like(at), np.empty_like(at)  # 2m + 1 and t
     gain[by_class] = 2 * (at - np.repeat(first, run)) + 1
@@ -175,7 +175,7 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     n_left = at - seg_start[seg] + 1
     n_right = seg_len[seg] - n_left
     ok = np.flatnonzero((n_left >= msl) & (n_right >= max(msl, 1))
-                        & (np.diff(key, append=-1) != 0))
+                        & np.append(key[1:] != key[:-1], False))
 
     def seg_cumsum(v):
         c = np.cumsum(v)
