@@ -20,13 +20,12 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import kbest_fscore, pca_fit, pca_transform, random_subset
+from .baselines import pca_transform
 from .data import CsvFormatError, Dataset, load_csv, write_csv
-from .evaluate import (ClassifierSpec, EvaluationReport, ScreenerSpec, convergence_sweep,
-                       grid_search, screen_once_report)
-from .forest import ForestParams
-from .rfms import ScreeningConfig, augment_with_canaries, screen
-from .serialize import (pca_document, pca_model_from_document, read_json,
+from .evaluate import (ClassifierSpec, ScreenerSpec, convergence_sweep, fit_screener,
+                       grid_search, screen_once_report, screening_config)
+from .rfms import augment_with_canaries, screen
+from .serialize import (SCHEMA_VERSION, pca_document, pca_model_from_document, read_json,
                         report_csv, report_document, screening_document,
                         subset_document, sweep_csv, sweep_document, write_json)
 from .synth import GeneratorConfig, generate
@@ -48,10 +47,6 @@ def _fraction(v):
     return 0.0 < v <= 1.0
 
 
-def _usefulness(v):
-    return 0.0 < v <= 1.0
-
-
 def _int_list(raw: str):
     return [int(part.strip()) for part in raw.split(",") if part.strip()]
 
@@ -64,8 +59,8 @@ _GENERATE_KEYS = {
     "n-samples-per-class": (int, _positive, 16),
     "n-true-features": (int, _nonnegative, 20),
     "n-fake-features": (int, _nonnegative, 20),
-    "min-usefulness": (float, _usefulness, 0.5),
-    "max-usefulness": (float, _usefulness, 1.0),
+    "min-usefulness": (float, _fraction, 0.5),
+    "max-usefulness": (float, _fraction, 1.0),
     "location-sharing-extent": (int, _nonnegative, 0),
     "location-ordering-extent": (int, _nonnegative, 0),
     "n-features-out": (int, _positive, 200),
@@ -156,33 +151,62 @@ def _load_config(args, schema, context) -> dict:
         if args.folds < 2:
             raise ValidationError("--folds must be at least 2")
         cfg["folds"] = args.folds
+    # --threads is checked but unused: a forest grows in one batched pass.
+    env = os.environ.get("RFSCREEN_THREADS", "1")
+    try:
+        threads = args.threads if args.threads is not None else int(env)
+    except ValueError:
+        raise ValidationError(f"RFSCREEN_THREADS={env!r} is not an integer") from None
+    if threads < 1:
+        raise ValidationError("--threads must be at least 1")
     return cfg
 
 
 def _load_dataset(args) -> Dataset:
-    if not args.data:
-        raise ValidationError("--data is required")
     try:
         return load_csv(args.data, label_column=args.label_column)
     except (OSError, CsvFormatError) as exc:
         raise ValidationError(str(exc)) from None
 
 
-def _check_threads(args) -> None:
-    # Validated for old configs but unused: a forest grows in one batched pass.
-    env = os.environ.get("RFSCREEN_THREADS", "1")
+def _read_result(path) -> dict:
     try:
-        value = args.threads if args.threads is not None else int(env)
-    except ValueError:
-        raise ValidationError(f"RFSCREEN_THREADS={env!r} is not an integer") from None
-    if value < 1:
-        raise ValidationError("--threads must be at least 1")
+        doc = read_json(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read result file: {exc}") from None
+    if doc.get("kind") != "screening_result":
+        raise ValidationError("result file is not a screening result document")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    return doc
 
 
-def _auto_subfeatures(explicit: int, pool: int) -> int:
-    if explicit > 0:
-        return min(explicit, pool)
-    return max(1, math.ceil(math.sqrt(pool)))
+def _write_pair(doc: dict, csv: str, out: str) -> Path:
+    """Write ``<out>.json`` and ``<out>.csv``; returns the shared base path."""
+    base = Path(out)
+    if base.suffix == ".json":
+        base = base.with_suffix("")
+    write_json(doc, base.with_suffix(".json"))
+    base.with_suffix(".csv").write_text(csv, encoding="utf-8")
+    return base
+
+
+def _rfms_spec(cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
+    """The rfms spec a screen or sweep config names for an ``n_features`` table."""
+    step = cfg["step-size"]
+    if step is None:
+        raise ValidationError("config key 'step-size' is required for rfms")
+    n_aug = n_features + cfg["n-canaries"]
+    if step > n_aug:
+        raise ValidationError(f"step-size={step} exceeds the augmented feature count {n_aug}")
+    params = {key.replace("-", "_"): cfg[key] for key in (
+        "step-size", "n-trees", "min-samples-leaf", "min-purity-increase",
+        "partial-sampling", "n-canaries")}
+    pool = step + n_out
+    explicit = cfg["n-subfeatures"]  # 0 = ceil(sqrt) of the round's pool
+    params["n_subfeatures"] = (min(explicit, pool) if explicit > 0
+                               else max(1, math.ceil(math.sqrt(pool))))
+    return ScreenerSpec("rfms", {**params, "n_out": n_out, "seed": cfg["random-state"]})
 
 
 def _classifier_grid(cfg: dict, which: str) -> list[ClassifierSpec]:
@@ -205,24 +229,10 @@ def _classifier_grid(cfg: dict, which: str) -> list[ClassifierSpec]:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args, _GENERATE_KEYS, "generate")
-    if not args.out:
-        raise ValidationError("--out is required")
     try:
-        gen_config = GeneratorConfig(
-            n_classes=cfg["n-classes"],
-            n_samples_per_class=cfg["n-samples-per-class"],
-            n_true_features=cfg["n-true-features"],
-            n_fake_features=cfg["n-fake-features"],
-            min_usefulness=cfg["min-usefulness"],
-            max_usefulness=cfg["max-usefulness"],
-            n_features_out=cfg["n-features-out"],
-            min_count=cfg["min-count"],
-            max_count=cfg["max-count"],
-            blending_mode=cfg["blending-mode"],
-            location_sharing_extent=cfg["location-sharing-extent"],
-            location_ordering_extent=cfg["location-ordering-extent"],
-            seed=cfg["random-state"],
-        )
+        gen_config = GeneratorConfig(**{
+            "seed" if key == "random-state" else key.replace("-", "_"): value
+            for key, value in cfg.items()})
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     dataset, provenance = generate(gen_config)
@@ -236,85 +246,47 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _screen_rfms(dataset: Dataset, cfg: dict) -> dict:
-    if cfg["step-size"] is None:
-        raise ValidationError("config key 'step-size' is required for rfms")
-    n_aug = dataset.n_features + cfg["n-canaries"]
-    if cfg["step-size"] > n_aug:
-        raise ValidationError(
-            f"step-size={cfg['step-size']} exceeds the augmented feature count {n_aug}")
-    try:
-        config = ScreeningConfig(
-            step_size=cfg["step-size"],
-            reduced_size=cfg["reduced-size"],
-            forest=ForestParams(
-                n_trees=cfg["n-trees"],
-                n_subfeatures=_auto_subfeatures(
-                    cfg["n-subfeatures"], cfg["step-size"] + cfg["reduced-size"]),
-                min_samples_leaf=cfg["min-samples-leaf"],
-                min_purity_increase=cfg["min-purity-increase"],
-                partial_sampling=cfg["partial-sampling"],
-                seed=cfg["random-state"],
-            ),
-            n_canaries=cfg["n-canaries"],
-            seed=cfg["random-state"],
-        )
-        config.forest.validate()
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    result = screen(dataset, config)
-    return screening_document(result)
-
-
 def _screen_baseline(dataset: Dataset, screener: str, cfg: dict) -> dict:
     k_out = cfg["reduced-size"]
     seed = cfg["random-state"]
-    if screener == "pca":
-        if cfg["n-canaries"] > 0:
-            raise ValidationError("canaries are only meaningful for subset screeners; "
-                                  "set n-canaries = 0 for pca")
-        if not 1 <= k_out <= min(dataset.n_samples, dataset.n_features):
-            raise ValidationError(
-                f"reduced-size must be in 1..{min(dataset.n_samples, dataset.n_features)} for pca")
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        model = pca_fit(dataset, k_out)
-        meta = {"n_samples": dataset.n_samples, "n_features": dataset.n_features,
-                "n_classes": dataset.n_classes}
-        return pca_document({"name": "pca", "n_out": k_out}, model, meta,
-                            wall_s=time.perf_counter() - wall0,
-                            cpu_s=time.process_time() - cpu0)
+    if screener == "pca" and cfg["n-canaries"] > 0:
+        raise ValidationError("canaries are only meaningful for subset screeners; "
+                              "set n-canaries = 0 for pca")
     augmented, canary_ids = augment_with_canaries(dataset, cfg["n-canaries"], seed)
-    if not 1 <= k_out <= augmented.n_features:
-        raise ValidationError(f"reduced-size must be in 1..{augmented.n_features}")
-    if screener == "kbest" and dataset.n_classes < 2:
-        raise ValidationError("k-best needs at least 2 classes")
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    if screener == "kbest":
-        subset = kbest_fscore(augmented, k_out)
-        screener_block = {"name": "kbest", "n_out": k_out}
+    if screener == "pca":
+        limit, where = min(dataset.n_samples, dataset.n_features), " for pca"
     else:
-        subset = random_subset(augmented.n_features, k_out, seed)
-        screener_block = {"name": "random", "n_out": k_out, "random_state": seed}
-    screener_block["n_canaries"] = cfg["n-canaries"]
-    leaked = tuple(i for i in subset.indices if i in set(canary_ids))
+        limit, where = augmented.n_features, ""
+    if not 1 <= k_out <= limit:
+        raise ValidationError(f"reduced-size must be in 1..{limit}{where}")
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    fitted = fit_screener(ScreenerSpec(screener, {"n_out": k_out, "seed": seed}), augmented)
+    timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
     meta = {"n_samples": dataset.n_samples, "n_features": dataset.n_features,
             "n_classes": dataset.n_classes}
-    return subset_document(screener_block, subset.indices, augmented.feature_names, meta,
-                           canary_ids=canary_ids, leaked_ids=leaked,
-                           wall_s=time.perf_counter() - wall0,
-                           cpu_s=time.process_time() - cpu0)
+    if fitted.transforming:
+        return pca_document({"name": "pca", "n_out": k_out}, fitted.pca, meta, **timing)
+    screener_block = {"name": screener, "n_out": k_out, "n_canaries": cfg["n-canaries"]}
+    if screener == "random":
+        screener_block["random_state"] = seed
+    subset = fitted.selected.indices
+    leaked = tuple(i for i in subset if i in set(canary_ids))
+    return subset_document(screener_block, subset, augmented.feature_names, meta,
+                           canary_ids=canary_ids, leaked_ids=leaked, **timing)
 
 
 def cmd_screen(args) -> int:
     cfg = _load_config(args, _SCREEN_KEYS, "screen")
-    if not args.out:
-        raise ValidationError("--out is required")
-    _check_threads(args)
     dataset = _load_dataset(args)
     if dataset.n_classes < 2:
         raise ValidationError("dataset has a single class; screening is undefined")
     if args.screener == "rfms":
-        doc = _screen_rfms(dataset, cfg)
+        spec = _rfms_spec(cfg, cfg["reduced-size"], dataset.n_features)
+        try:
+            config = screening_config(spec, dataset.n_features)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+        doc = screening_document(screen(dataset, config))
     else:
         doc = _screen_baseline(dataset, args.screener, cfg)
     write_json(doc, args.out)
@@ -326,10 +298,6 @@ def cmd_screen(args) -> int:
 
 def _selection_from_document(doc: dict, dataset: Dataset):
     """Reduced view of the dataset per a stored screening result."""
-    if doc.get("kind") != "screening_result":
-        raise ValidationError("result file is not a screening result document")
-    if doc.get("schema_version") != 1:
-        raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
     if doc.get("transforming"):
         model = pca_model_from_document(doc)
         if model.n_features != dataset.n_features:
@@ -357,47 +325,17 @@ def _selection_from_document(doc: dict, dataset: Dataset):
 
 
 def _screener_spec_from_document(doc: dict) -> ScreenerSpec:
-    block = dict(doc["screener"])
-    name = block.pop("name")
-    if name == "rfms":
-        return ScreenerSpec("rfms", {
-            "n_out": block["reduced_size"],
-            "step_size": block["step_size"],
-            "n_trees": block["n_trees"],
-            "n_subfeatures": block["n_subfeatures"],
-            "min_samples_leaf": block["min_samples_leaf"],
-            "min_purity_increase": block["min_purity_increase"],
-            "partial_sampling": block["partial_sampling"],
-            "seed": block["random_state"],
-            "n_canaries": 0,  # canaries are a whole-table diagnostic, not a CV step
-        })
-    params = {"n_out": block["n_out"]}
-    if "random_state" in block:
-        params["seed"] = block["random_state"]
-    return ScreenerSpec(name, params)
-
-
-def _write_report(report: EvaluationReport, folds: int, out: str) -> Path:
-    base = Path(out)
-    if base.suffix == ".json":
-        base = base.with_suffix("")
-    write_json(report_document(report, folds), base.with_suffix(".json"))
-    base.with_suffix(".csv").write_text(report_csv(report), encoding="utf-8")
-    return base
+    names = {"reduced_size": "n_out", "random_state": "seed"}
+    params = {names.get(key, key): value for key, value in doc["screener"].items()}
+    name = params.pop("name")
+    # canaries are a whole-table diagnostic, not a CV step
+    return ScreenerSpec(name, {**params, "n_canaries": 0})
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
-    if not args.out:
-        raise ValidationError("--out is required")
-    if not args.result:
-        raise ValidationError("--result is required")
-    _check_threads(args)
     dataset = _load_dataset(args)
-    try:
-        doc = read_json(args.result)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read result file: {exc}") from None
+    doc = _read_result(args.result)
     grid = _classifier_grid(cfg, args.classifier)
     folds = cfg["folds"]
     seed = cfg["random-state"]
@@ -411,7 +349,7 @@ def cmd_evaluate(args) -> int:
             reduced, f"{doc['screener']['name']}({reduced.n_features})",
             float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
 
-    base = _write_report(report, folds, args.out)
+    base = _write_pair(report_document(report, folds), report_csv(report), args.out)
     for entry in report.entries:
         print(f"{entry.screener_id} + {entry.classifier_id}: "
               f"accuracy={entry.mean_accuracy:.4f}")
@@ -423,9 +361,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args, _SWEEP_KEYS, "sweep")
-    if not args.out:
-        raise ValidationError("--out is required")
-    _check_threads(args)
     dataset = _load_dataset(args)
     if dataset.n_classes < 2:
         raise ValidationError("dataset has a single class; evaluation is undefined")
@@ -434,23 +369,9 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"feature-counts must be at most {dataset.n_features}")
     seed = cfg["random-state"]
     if args.screener == "rfms":
-        if cfg["step-size"] is None:
-            raise ValidationError("config key 'step-size' is required for rfms")
-        if cfg["step-size"] > dataset.n_features + cfg["n-canaries"]:
-            raise ValidationError("step-size exceeds the feature count")
+        spec = _rfms_spec(cfg, max(counts), dataset.n_features)
         if any(c > cfg["step-size"] for c in counts):
             raise ValidationError("feature-counts may not exceed step-size for rfms")
-        spec = ScreenerSpec("rfms", {
-            "step_size": cfg["step-size"],
-            "n_trees": cfg["n-trees"],
-            "n_subfeatures": _auto_subfeatures(
-                cfg["n-subfeatures"], cfg["step-size"] + max(counts)),
-            "min_samples_leaf": cfg["min-samples-leaf"],
-            "min_purity_increase": cfg["min-purity-increase"],
-            "partial_sampling": cfg["partial-sampling"],
-            "seed": seed,
-            "n_canaries": cfg["n-canaries"],
-        })
     elif args.screener == "pca":
         if any(c > min(dataset.n_samples, dataset.n_features) for c in counts):
             raise ValidationError("feature-counts exceed the PCA component limit")
@@ -462,11 +383,8 @@ def cmd_sweep(args) -> int:
     grid = _classifier_grid(cfg, args.classifier)
     rows = convergence_sweep(dataset, spec, grid, counts, folds=cfg["folds"],
                              seed=seed, leak_safe=args.leak_safe)
-    base = Path(args.out)
-    if base.suffix == ".json":
-        base = base.with_suffix("")
-    write_json(sweep_document(rows, args.screener, cfg["folds"]), base.with_suffix(".json"))
-    base.with_suffix(".csv").write_text(sweep_csv(rows), encoding="utf-8")
+    base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), sweep_csv(rows),
+                       args.out)
     for row in rows:
         print(f"n_features_out={row.n_features_out} best_accuracy={row.best_accuracy:.4f} "
               f"({row.best_classifier_id})")
@@ -475,14 +393,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if not args.result:
-        raise ValidationError("--result is required")
-    try:
-        doc = read_json(args.result)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read result file: {exc}") from None
-    if doc.get("kind") != "screening_result":
-        raise ValidationError("result file is not a screening result document")
+    doc = _read_result(args.result)
     canaries = doc.get("canaries")
     if canaries is None:
         raise ValidationError("screening ran without canaries; nothing to audit")
@@ -511,11 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checked (>= 1) but unused (default: $RFSCREEN_THREADS or 1)")
         p.add_argument("--label-column", default="label")
         if data:
-            p.add_argument("--data", help="input dataset CSV")
+            p.add_argument("--data", required=True, help="input dataset CSV")
         if out:
-            p.add_argument("--out", help="output path")
+            p.add_argument("--out", required=True, help="output path")
         if result:
-            p.add_argument("--result", help="screening result JSON")
+            p.add_argument("--result", required=True, help="screening result JSON")
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     common(p, out=True)
@@ -547,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="canary audit of a screening result")
-    p.add_argument("--result", help="screening result JSON")
+    p.add_argument("--result", required=True, help="screening result JSON")
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -95,6 +95,29 @@ class FittedScreener:
         return np.asarray(features)[:, list(self.selected.indices)]
 
 
+def screening_config(spec: ScreenerSpec, n_features: int) -> ScreeningConfig:
+    """The ``ScreeningConfig`` an rfms ``spec`` names, for a table of ``n_features``.
+
+    Without ``n_subfeatures`` the forest draws ``round(sqrt(n_features))``
+    candidates per node.  ``seed`` seeds the screen; each round derives its
+    own forest seed from it.
+    """
+    p = spec.params
+    return ScreeningConfig(
+        step_size=int(p["step_size"]),
+        reduced_size=int(p["n_out"]),
+        forest=ForestParams(
+            n_trees=int(p.get("n_trees", 100)),
+            n_subfeatures=int(p.get("n_subfeatures", max(1, round(n_features ** 0.5)))),
+            min_samples_leaf=int(p.get("min_samples_leaf", 1)),
+            min_purity_increase=float(p.get("min_purity_increase", 0.0)),
+            partial_sampling=float(p.get("partial_sampling", 0.7)),
+        ),
+        n_canaries=int(p.get("n_canaries", 0)),
+        seed=int(p.get("seed", 20230125)),
+    )
+
+
 def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
     """Fit the screener named by ``spec`` on training data only."""
     p = spec.params
@@ -107,21 +130,7 @@ def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
         return FittedScreener(spec, selected=random_subset(train.n_features, n_out, int(p.get("seed", 0))))
     if spec.name == "pca":
         return FittedScreener(spec, pca=pca_fit(train, n_out))
-    config = ScreeningConfig(
-        step_size=int(p["step_size"]),
-        reduced_size=n_out,
-        forest=ForestParams(
-            n_trees=int(p.get("n_trees", 100)),
-            n_subfeatures=int(p.get("n_subfeatures", max(1, round(train.n_features ** 0.5)))),
-            min_samples_leaf=int(p.get("min_samples_leaf", 1)),
-            min_purity_increase=float(p.get("min_purity_increase", 0.0)),
-            partial_sampling=float(p.get("partial_sampling", 0.7)),
-            seed=int(p.get("seed", 20230125)),
-        ),
-        n_canaries=int(p.get("n_canaries", 0)),
-        seed=int(p.get("seed", 20230125)),
-    )
-    result = screen(train, config)
+    result = screen(train, screening_config(spec, train.n_features))
     if result.leak_count:
         raise RuntimeError(
             f"screen selected {result.leak_count} canary feature(s); "

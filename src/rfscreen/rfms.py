@@ -36,7 +36,8 @@ class ScreeningConfig:
     ``reduced_size`` the carry width (features kept between rounds and
     finally returned); ``1 <= reduced_size <= step_size`` always, and
     ``step_size`` may not exceed the (canary-augmented) feature count of
-    the dataset being screened.
+    the dataset being screened.  ``forest.seed`` is not read: each round
+    derives its own forest seed from ``seed``.
     """
 
     step_size: int

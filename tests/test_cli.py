@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, files, determinism, audit."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import rfscreen.cli as cli
 from helpers import mask_timing
-from rfscreen import ClassifierSpec, ScreenerSpec, cross_validate, load_csv
+from rfscreen import (ClassifierSpec, ScreenerSpec, cross_validate, load_csv,
+                      screening_config)
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -228,6 +231,19 @@ class TestEvaluate:
         report = read_json(workspace / "rep3.json")
         assert report["entries"][0]["screening_cpu_s"] > 0.0
 
+    def test_stored_knobs_rebuild_the_screen_config(self, workspace, monkeypatch):
+        # leak-safe evaluate re-screens with the spec it rebuilds from the document
+        ran = []
+        real_screen = cli.screen
+        monkeypatch.setattr(cli, "screen",
+                            lambda ds, config: real_screen(ds, ran.append(config) or config))
+        code, out = _screen(workspace)
+        assert code == 0
+        spec = cli._screener_spec_from_document(read_json(out))
+        rebuilt = screening_config(spec, load_csv(workspace / "data.csv").n_features)
+        assert ran[0].n_canaries == 6
+        assert rebuilt == replace(ran[0], n_canaries=0)
+
     def test_pca_result_evaluates(self, workspace, tmp_path):
         cfg = tmp_path / "pca.cfg"
         cfg.write_text("reduced-size = 3\n", encoding="utf-8")
@@ -298,6 +314,15 @@ class TestAudit:
     def test_missing_file(self, tmp_path):
         assert main(["audit", "--result", str(tmp_path / "nope.json")]) == 2
 
+    def test_unsupported_schema_version_rejected(self, workspace, capsys):
+        _, result = _screen(workspace)
+        doc = read_json(result)
+        doc["schema_version"] = 2
+        future = workspace / "v2.json"
+        future.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["audit", "--result", str(future)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+
 
 class TestParsing:
     def test_usage_error_exits_two(self):
@@ -317,3 +342,48 @@ class TestParsing:
         cfg.write_text("n-classes = 3\nn-classes = 4\n", encoding="utf-8")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["generate"], "--out"),
+        (["screen", "--data", "data.csv"], "--out"),
+        (["screen", "--out", "x.json"], "--data"),
+        (["evaluate", "--data", "data.csv", "--out", "x"], "--result"),
+        (["evaluate", "--result", "r.json", "--out", "x"], "--data"),
+        (["evaluate", "--data", "data.csv", "--result", "r.json"], "--out"),
+        (["sweep", "--data", "data.csv"], "--out"),
+        (["sweep", "--out", "x"], "--data"),
+        (["audit"], "--result"),
+    ])
+    def test_missing_required_flag(self, workspace, monkeypatch, capsys, argv, missing):
+        monkeypatch.chdir(workspace)
+        before = sorted(workspace.iterdir())
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("command, extra", [("screen", ""),
+                                                ("sweep", "feature-counts = 5\n")])
+    def test_step_size_beyond_features_and_canaries(self, workspace, capsys, command, extra):
+        cfg = workspace / "wide.cfg"  # the table has 40 features; 6 canaries make 46
+        cfg.write_text("step-size = 47\nreduced-size = 5\nn-canaries = 6\n" + extra,
+                       encoding="utf-8")
+        before = sorted(workspace.iterdir())
+        code = main([command, "--data", str(workspace / "data.csv"), "--config", str(cfg),
+                     "--out", str(workspace / "never")])
+        assert code == 2
+        assert "step-size" in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "gen.cfg", "--out", "x.csv"],
+        ["screen", "--data", "data.csv", "--config", "screen.cfg", "--out", "x.json"],
+        ["evaluate", "--data", "data.csv", "--result", "r.json", "--out", "x"],
+        ["sweep", "--data", "data.csv", "--config", "sweep.cfg", "--out", "x"],
+    ])
+    def test_threads_below_one_rejected(self, workspace, monkeypatch, capsys, argv):
+        monkeypatch.chdir(workspace)
+        (workspace / "sweep.cfg").write_text("feature-counts = 5\n", encoding="utf-8")
+        before = sorted(workspace.iterdir())
+        assert main([*argv, "--threads", "0"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before
