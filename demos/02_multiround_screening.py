@@ -7,8 +7,8 @@ screening; a canary surviving to the output would mean the screen is
 promoting noise.
 """
 
-from rfscreen import (ForestParams, GeneratorConfig, ScreeningConfig, canary_audit,
-                      generate, screen, truth_overlap)
+from rfscreen import (ForestParams, GeneratorConfig, ScreeningConfig, generate, screen,
+                      truth_overlap)
 
 dataset, provenance = generate(GeneratorConfig(
     n_classes=10, n_samples_per_class=12,
@@ -42,9 +42,8 @@ for record in result.rounds:
 print("\nselected (descending importance):")
 print(" ", ", ".join(result.selected_names()))
 
-audit = canary_audit(result)
-print(f"\ncanary audit: {audit.leak_count} of {len(audit.canary_ids)} canaries leaked"
-      + (" (clean)" if audit.clean else f" -> {audit.leaked_ids}"))
+print(f"\ncanary audit: {result.leak_count} of {len(result.canary_ids)} canaries leaked"
+      + (f" -> {result.leaked_ids}" if result.leak_count else " (clean)"))
 
 overlap = truth_overlap(result.selected, provenance)
 print(f"fraction of selected features with an informative source: {overlap:.2f}")

@@ -17,23 +17,21 @@ from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSp
 from .forest import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                      dump_forest, forest_predict, forest_predict_batch, gini_impurity,
                      selection_frequency, train_forest)
-from .rfms import (CanaryAudit, RoundRecord, ScreeningConfig, ScreeningResult,
-                   augment_with_canaries, canary_audit, partition_features,
-                   permute_features, screen)
+from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, augment_with_canaries,
+                   partition_features, permute_features, screen)
 from .synth import GeneratorConfig, Provenance, generate, truth_overlap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanaryAudit", "ClassifierSpec", "CsvFormatError", "Dataset", "EvaluationReport",
-    "FeatureSubset", "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel",
-    "Provenance", "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig",
-    "ScreeningResult", "SweepRow", "Tree", "augment_with_canaries", "best_split",
-    "bootstrap_indices", "canary_audit", "convergence_sweep", "cross_validate",
-    "dump_forest", "f_scores", "fit_screener", "forest_predict", "forest_predict_batch",
-    "generate", "gini_impurity", "grid_search", "kbest_fscore", "knn_predict",
-    "load_csv", "partition_features", "pca_fit", "pca_transform", "permute_features",
-    "random_subset", "reduce_full", "screen", "screen_once_report", "screening_config",
-    "selection_frequency",
+    "ClassifierSpec", "CsvFormatError", "Dataset", "EvaluationReport", "FeatureSubset",
+    "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel", "Provenance",
+    "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig", "ScreeningResult",
+    "SweepRow", "Tree", "augment_with_canaries", "best_split", "bootstrap_indices",
+    "convergence_sweep", "cross_validate", "dump_forest", "f_scores", "fit_screener",
+    "forest_predict", "forest_predict_batch", "generate", "gini_impurity",
+    "grid_search", "kbest_fscore", "knn_predict", "load_csv", "partition_features",
+    "pca_fit", "pca_transform", "permute_features", "random_subset", "reduce_full",
+    "screen", "screen_once_report", "screening_config", "selection_frequency",
     "stratified_kfold", "train_forest", "truth_overlap", "write_csv",
 ]

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
-from .baselines import pca_transform
 from .data import CsvFormatError, Dataset, load_csv, write_csv
-from .evaluate import (ClassifierSpec, ScreenerSpec, convergence_sweep, fit_screener,
-                       grid_search, screen_once_report, screening_config)
+from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
+                       fit_screener, grid_search, screen_once_report, screening_config)
 from .rfms import augment_with_canaries, screen
-from .serialize import (SCHEMA_VERSION, pca_document, pca_model_from_document, read_json,
-                        report_csv, report_document, screening_document,
-                        subset_document, sweep_csv, sweep_document, write_json)
+from .serialize import (SCHEMA_VERSION, envelope, pca_document, pca_model_from_document,
+                        read_json, report_csv, report_document, screening_document,
+                        sweep_csv, sweep_document, write_json)
 from .synth import GeneratorConfig, generate
 
 
@@ -152,12 +150,7 @@ def _load_config(args, schema, context) -> dict:
             raise ValidationError("--folds must be at least 2")
         cfg["folds"] = args.folds
     # --threads is checked but unused: a forest grows in one batched pass.
-    env = os.environ.get("RFSCREEN_THREADS", "1")
-    try:
-        threads = args.threads if args.threads is not None else int(env)
-    except ValueError:
-        raise ValidationError(f"RFSCREEN_THREADS={env!r} is not an integer") from None
-    if threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ValidationError("--threads must be at least 1")
     return cfg
 
@@ -269,10 +262,8 @@ def _screen_baseline(dataset: Dataset, screener: str, cfg: dict) -> dict:
     screener_block = {"name": screener, "n_out": k_out, "n_canaries": cfg["n-canaries"]}
     if screener == "random":
         screener_block["random_state"] = seed
-    subset = fitted.selected.indices
-    leaked = tuple(i for i in subset if i in set(canary_ids))
-    return subset_document(screener_block, subset, augmented.feature_names, meta,
-                           canary_ids=canary_ids, leaked_ids=leaked, **timing)
+    return envelope(screener_block, meta, fitted.selected.indices, augmented.feature_names,
+                    canary_ids=canary_ids, **timing)
 
 
 def cmd_screen(args) -> int:
@@ -304,11 +295,7 @@ def _selection_from_document(doc: dict, dataset: Dataset):
             raise ValidationError(
                 f"result was fitted on {model.n_features} features, "
                 f"dataset has {dataset.n_features}")
-        return Dataset(
-            features=pca_transform(model, dataset.features),
-            labels=dataset.labels,
-            feature_names=tuple(f"pc{i + 1}" for i in range(model.n_components)),
-        )
+        return FittedScreener(pca=model).view(dataset)
     position = {name: i for i, name in enumerate(dataset.feature_names)}
     columns = []
     for item in doc["selected"]:
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override random-state")
         p.add_argument("--threads", type=int,
-                       help="checked (>= 1) but unused (default: $RFSCREEN_THREADS or 1)")
+                       help="checked (>= 1) but unused")
         p.add_argument("--label-column", default="label")
         if data:
             p.add_argument("--data", required=True, help="input dataset CSV")

@@ -75,7 +75,6 @@ class ClassifierSpec:
 class FittedScreener:
     """Reduction learned on training rows; applies to any row matrix."""
 
-    spec: ScreenerSpec
     selected: FeatureSubset | None = None
     pca: PcaModel | None = None
 
@@ -93,6 +92,14 @@ class FittedScreener:
         if self.pca is not None:
             return pca_transform(self.pca, features)
         return np.asarray(features)[:, list(self.selected.indices)]
+
+    def view(self, dataset: Dataset) -> Dataset:
+        """The reduced dataset: the selected columns, or PCA scores named ``pc1..``."""
+        if self.pca is None:
+            return dataset.select_features(self.selected.indices)
+        return Dataset(features=pca_transform(self.pca, dataset.features),
+                       labels=dataset.labels,
+                       feature_names=tuple(f"pc{i + 1}" for i in range(self.n_out)))
 
 
 def screening_config(spec: ScreenerSpec, n_features: int) -> ScreeningConfig:
@@ -122,21 +129,22 @@ def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
     """Fit the screener named by ``spec`` on training data only."""
     p = spec.params
     if spec.name == "identity":
-        return FittedScreener(spec, selected=FeatureSubset(tuple(range(train.n_features))))
+        return FittedScreener(selected=FeatureSubset(tuple(range(train.n_features))))
     n_out = int(p["n_out"])
     if spec.name == "kbest":
-        return FittedScreener(spec, selected=kbest_fscore(train, n_out))
+        return FittedScreener(selected=kbest_fscore(train, n_out))
     if spec.name == "random":
-        return FittedScreener(spec, selected=random_subset(train.n_features, n_out, int(p.get("seed", 0))))
+        return FittedScreener(selected=random_subset(train.n_features, n_out,
+                                                     int(p.get("seed", 20230125))))
     if spec.name == "pca":
-        return FittedScreener(spec, pca=pca_fit(train, n_out))
+        return FittedScreener(pca=pca_fit(train, n_out))
     result = screen(train, screening_config(spec, train.n_features))
     if result.leak_count:
         raise RuntimeError(
             f"screen selected {result.leak_count} canary feature(s); "
             "cannot reduce to original columns"
         )
-    return FittedScreener(spec, selected=result.selected)
+    return FittedScreener(selected=result.selected)
 
 
 def knn_predict(train: Dataset, query, k: int) -> int:
@@ -169,9 +177,8 @@ def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
 
 
 class _FittedClassifier:
-    def __init__(self, predict, label):
+    def __init__(self, predict):
         self.predict = predict
-        self.label = label
 
 
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
@@ -179,8 +186,7 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
     p = spec.params
     if spec.name == "majority":
         klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
-        return _FittedClassifier(lambda X: np.full(X.shape[0], klass, dtype=np.int64),
-                                 spec.label())
+        return _FittedClassifier(lambda X: np.full(X.shape[0], klass, dtype=np.int64))
     if spec.name == "knn":
         k = int(p.get("k", 5))
         if not 1 <= k <= train_X.shape[0]:
@@ -188,7 +194,7 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
         X = np.array(train_X, dtype=np.float64)
         y = np.array(train_y, dtype=np.int64)
         return _FittedClassifier(lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64),
-                                                      k, n_classes), spec.label())
+                                                      k, n_classes))
     params = ForestParams(
         n_trees=int(p.get("n_trees", 50)),
         n_subfeatures=min(int(p.get("n_subfeatures", max(1, round(train_X.shape[1] ** 0.5)))),
@@ -201,7 +207,7 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
     train = Dataset(features=train_X, labels=train_y,
                     feature_names=tuple(f"c{i}" for i in range(train_X.shape[1])))
     model = train_forest(train, params)
-    return _FittedClassifier(lambda X: forest_predict_batch(model, X), spec.label())
+    return _FittedClassifier(lambda X: forest_predict_batch(model, X))
 
 
 @dataclass(frozen=True)
@@ -281,16 +287,7 @@ def reduce_full(dataset: Dataset, screener: ScreenerSpec):
     t0 = time.process_time()
     fitted = fit_screener(screener, dataset)
     cpu = 0.0 if screener.name == "identity" else time.process_time() - t0
-    reduced = Dataset(
-        features=fitted.reduce(dataset.features),
-        labels=dataset.labels,
-        feature_names=tuple(
-            f"pc{i + 1}" for i in range(fitted.n_out)
-        ) if fitted.transforming else tuple(
-            dataset.feature_names[i] for i in fitted.selected.indices
-        ),
-    )
-    return reduced, fitted, cpu
+    return fitted.view(dataset), fitted, cpu
 
 
 def _report(entries) -> EvaluationReport:

@@ -78,7 +78,6 @@ class ScreeningResult:
     rounds: tuple[RoundRecord, ...]
     permutation: tuple[int, ...]
     canary_ids: tuple[int, ...]
-    leaked_ids: tuple[int, ...]
     feature_names: tuple[str, ...]
     n_features_input: int
     n_samples: int
@@ -91,25 +90,17 @@ class ScreeningResult:
         return self.n_features_input + len(self.canary_ids)
 
     @property
+    def leaked_ids(self) -> tuple[int, ...]:
+        """The selected ids that are canaries, in selection order."""
+        canaries = set(self.canary_ids)
+        return tuple(i for i in self.selected.indices if i in canaries)
+
+    @property
     def leak_count(self) -> int:
         return len(self.leaked_ids)
 
     def selected_names(self) -> tuple[str, ...]:
         return tuple(self.feature_names[i] for i in self.selected.indices)
-
-
-@dataclass(frozen=True)
-class CanaryAudit:
-    canary_ids: tuple[int, ...]
-    leaked_ids: tuple[int, ...]
-
-    @property
-    def leak_count(self) -> int:
-        return len(self.leaked_ids)
-
-    @property
-    def clean(self) -> bool:
-        return self.leak_count == 0
 
 
 def permute_features(n: int, seed: int) -> np.ndarray:
@@ -199,14 +190,12 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
         ))
         carry = selected
 
-    leaked = tuple(int(f) for f in carry if int(f) in set(canary_ids))
     return ScreeningResult(
         config=config,
         selected=FeatureSubset(tuple(int(f) for f in carry)),
         rounds=tuple(rounds),
         permutation=tuple(int(f) for f in permutation),
         canary_ids=canary_ids,
-        leaked_ids=leaked,
         feature_names=augmented.feature_names,
         n_features_input=dataset.n_features,
         n_samples=dataset.n_samples,
@@ -214,12 +203,3 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
         wall_time_s=time.perf_counter() - t_wall,
         cpu_time_s=time.process_time() - t_cpu,
     )
-
-
-def canary_audit(result: ScreeningResult) -> CanaryAudit:
-    """Leak accounting for a screening run that included canaries."""
-    if not result.canary_ids:
-        raise ValueError("screening ran without canaries; nothing to audit")
-    canaries = set(result.canary_ids)
-    leaked = tuple(i for i in result.selected.indices if i in canaries)
-    return CanaryAudit(canary_ids=result.canary_ids, leaked_ids=leaked)

@@ -45,10 +45,13 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
-def _envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: float,
-              cpu_s: float, canary_ids=(), leaked_ids=(), transforming: bool = False,
-              **extra) -> dict:
-    """The ``screening_result`` document shared by every screener."""
+def envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: float,
+             cpu_s: float, canary_ids=(), transforming: bool = False, **extra) -> dict:
+    """The ``screening_result`` document shared by every screener.
+
+    With canaries, the ``canaries`` block lists the selected ids that are
+    canaries, in selection order.
+    """
     canaries = set(canary_ids)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -62,10 +65,11 @@ def _envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: f
         **extra,
     }
     if canary_ids:
+        leaked = [i + 1 for i in selected_ids if i in canaries]
         doc["canaries"] = {
             "ids": [i + 1 for i in canary_ids],
-            "leak_count": len(leaked_ids),
-            "leaked_ids": [i + 1 for i in leaked_ids],
+            "leak_count": len(leaked),
+            "leaked_ids": leaked,
         }
     return doc
 
@@ -73,7 +77,7 @@ def _envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: f
 def screening_document(result: ScreeningResult) -> dict:
     """Full multiround screening result, rounds and permutation included."""
     cfg = result.config
-    return _envelope(
+    return envelope(
         {
             "name": "rfms",
             "step_size": cfg.step_size,
@@ -92,7 +96,7 @@ def screening_document(result: ScreeningResult) -> dict:
             "n_classes": result.n_classes,
         },
         result.selected.indices, result.feature_names, result.wall_time_s,
-        result.cpu_time_s, result.canary_ids, result.leaked_ids,
+        result.cpu_time_s, result.canary_ids,
         rounds=[
             {
                 "round": r.round_index,
@@ -108,19 +112,11 @@ def screening_document(result: ScreeningResult) -> dict:
     )
 
 
-def subset_document(screener: dict, selected_ids, feature_names, dataset_meta: dict,
-                    canary_ids=(), leaked_ids=(), wall_s: float = 0.0,
-                    cpu_s: float = 0.0) -> dict:
-    """Envelope for subset screeners (kbest, random) in the shared schema."""
-    return _envelope(screener, dataset_meta, selected_ids, feature_names, wall_s, cpu_s,
-                     canary_ids, leaked_ids)
-
-
 def pca_document(screener: dict, model: PcaModel, dataset_meta: dict,
                  wall_s: float = 0.0, cpu_s: float = 0.0) -> dict:
     """Envelope for the transforming screener; the model rides along."""
     names = [f"pc{i + 1}" for i in range(model.n_components)]
-    return _envelope(
+    return envelope(
         screener, dataset_meta, range(model.n_components), names, wall_s, cpu_s,
         transforming=True,
         model={

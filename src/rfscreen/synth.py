@@ -32,7 +32,7 @@ class GeneratorConfig:
     draws the per-class means of each true feature from a finite pool of
     that many values, so several classes share locations;
     ``location_ordering_extent`` is accepted for config compatibility and
-    recorded, but maps onto the same pool mechanism (no separate effect).
+    has no effect.
     """
 
     n_classes: int

@@ -144,14 +144,6 @@ class TestScreen:
         assert not out.exists()
         assert "canaries" in capsys.readouterr().err
 
-    def test_env_thread_fallback(self, workspace, monkeypatch):
-        monkeypatch.setenv("RFSCREEN_THREADS", "2")
-        code, _ = _screen(workspace, out="env.json")
-        assert code == 0
-        monkeypatch.setenv("RFSCREEN_THREADS", "abc")
-        code, _ = _screen(workspace, out="env2.json")
-        assert code == 2
-
     def test_seed_flag_overrides_random_state(self, workspace):
         _, baseline = _screen(workspace, out="s0.json")
         _, reseeded = _screen(workspace, out="s1.json", extra=["--seed", "999"])
@@ -302,6 +294,23 @@ class TestAudit:
         doctored.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["audit", "--result", str(doctored)]) == 1
         assert "leaks=1" in capsys.readouterr().out
+
+    def test_baseline_screen_that_keeps_every_canary_leaks(self, workspace, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("reduced-size = 46\nn-canaries = 6\n", encoding="utf-8")
+        out = workspace / "all.json"
+        assert main(["screen", "--data", str(workspace / "data.csv"), "--config", str(cfg),
+                     "--out", str(out), "--screener", "random"]) == 0
+        doc = read_json(out)
+        canaries = doc["canaries"]
+        assert canaries["leak_count"] == 6
+        in_selected_order = [item["id"] for item in doc["selected"]
+                             if item["id"] in canaries["ids"]]
+        assert sorted(in_selected_order) == canaries["ids"]
+        assert canaries["leaked_ids"] == in_selected_order
+        by_id = {item["id"]: item for item in doc["selected"]}
+        assert all(by_id[i]["is_canary"] for i in canaries["leaked_ids"])
+        assert main(["audit", "--result", str(out)]) == 1
 
     def test_without_canaries_is_a_validation_error(self, workspace, tmp_path):
         cfg = tmp_path / "nocanary.cfg"

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import make_dataset, oracle_knn
 from rfscreen import (ClassifierSpec, ScreenerSpec, convergence_sweep, cross_validate,
-                      grid_search, kbest_fscore, knn_predict, stratified_kfold)
+                      fit_screener, grid_search, kbest_fscore, knn_predict, pca_transform,
+                      reduce_full, stratified_kfold)
 
 
 def _blobs(seed=0, n=60, f=5, k=3, spread=1.0):
@@ -47,6 +48,21 @@ class TestKnnPredict:
             knn_predict(ds, [0.0], k=2)
         with pytest.raises(ValueError):
             knn_predict(ds, [0.0, 1.0], k=1)
+
+
+class TestFitScreener:
+    def test_random_seed_defaults_to_the_library_seed(self):
+        ds = _blobs(seed=11, f=20)
+        default = fit_screener(ScreenerSpec("random", {"n_out": 5}), ds)
+        explicit = fit_screener(ScreenerSpec("random", {"n_out": 5, "seed": 20230125}), ds)
+        assert default.selected == explicit.selected
+
+    def test_pca_view_holds_named_scores(self):
+        ds = _blobs(seed=13, f=6)
+        view, fitted, _ = reduce_full(ds, ScreenerSpec("pca", {"n_out": 2}))
+        assert view.feature_names == ("pc1", "pc2")
+        np.testing.assert_array_equal(view.features, pca_transform(fitted.pca, ds.features))
+        np.testing.assert_array_equal(view.labels, ds.labels)
 
 
 class TestCrossValidate:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_dataset, mask_timing
 from rfscreen import (FeatureSubset, ForestParams, ScreeningConfig, ScreeningResult,
-                      canary_audit, partition_features, permute_features, screen,
+                      partition_features, permute_features, screen,
                       selection_frequency, train_forest)
 from rfscreen.serialize import dumps, screening_document
 
@@ -183,18 +183,18 @@ class TestCanaries:
         config = ScreeningConfig(step_size=30, reduced_size=1,
                                  forest=_forest(n_trees=20), n_canaries=10, seed=3)
         result = screen(ds, config)
-        audit = canary_audit(result)
-        assert audit.leak_count == len(result.leaked_ids)
-        assert audit.clean == (result.leak_count == 0)
+        by_name = tuple(i for i in result.selected.indices
+                        if result.feature_names[i].startswith("canary_"))
+        assert result.leaked_ids == by_name
+        assert result.leak_count == len(by_name)
 
     def test_forced_leak_is_counted(self):
         fixture = ScreeningResult(
-            config=ScreeningConfig(step_size=4, reduced_size=2, forest=_forest()),
-            selected=FeatureSubset((5, 1)),
+            config=ScreeningConfig(step_size=4, reduced_size=3, forest=_forest()),
+            selected=FeatureSubset((5, 1, 4)),
             rounds=(),
             permutation=tuple(range(6)),
             canary_ids=(4, 5),
-            leaked_ids=(5,),
             feature_names=("a", "b", "c", "d", "canary_0001", "canary_0002"),
             n_features_input=4,
             n_samples=10,
@@ -202,14 +202,5 @@ class TestCanaries:
             wall_time_s=0.0,
             cpu_time_s=0.0,
         )
-        audit = canary_audit(fixture)
-        assert audit.leak_count == 1
-        assert audit.leaked_ids == (5,)
-        assert not audit.clean
-
-    def test_audit_requires_canaries(self):
-        ds = _noisy_label_copy_dataset(seed=43, n_features=30)
-        config = ScreeningConfig(step_size=30, reduced_size=2, forest=_forest(n_trees=4))
-        result = screen(ds, config)
-        with pytest.raises(ValueError, match="without canaries"):
-            canary_audit(result)
+        assert fixture.leaked_ids == (5, 4)  # selection order, not id order
+        assert fixture.leak_count == 2
