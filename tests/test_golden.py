@@ -1,10 +1,11 @@
-"""Golden outputs: one fixed forest and three fixed screens, frozen in golden.json.
+"""Golden outputs: one fixed forest, three fixed screens and kNN labels, frozen in golden.json.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
-them unnoticed.  These tests compare against values recorded once, from the
-object-graph tree implementation, and must pass unchanged for as long as
-the determinism contract holds.  Never regenerate golden.json to make a
+them unnoticed.  These tests compare against values recorded once (the
+forest and screens from the object-graph tree implementation, the kNN
+labels from the difference-tensor kNN), and must pass unchanged for as
+long as the determinism contract holds.  Never regenerate golden.json to make a
 change pass: a mismatch means the bits of the output moved.
 """
 
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset
-from rfscreen import (ForestParams, GeneratorConfig, ScreeningConfig, dump_forest,
-                      forest_predict, forest_predict_batch, generate, screen,
+from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreeningConfig,
+                      dump_forest, forest_predict, forest_predict_batch, generate, screen,
                       selection_frequency, train_forest)
+from rfscreen.evaluate import fit_classifier
 
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
 
@@ -69,6 +71,36 @@ SCREEN_CASES = {
 }
 
 
+def _integer_table():
+    """Three-valued features on 90 rows: exact distance ties everywhere."""
+    rng = np.random.default_rng(606)
+    X = rng.integers(0, 3, size=(90, 6)).astype(np.float64)
+    X[60:75] = X[:15]  # duplicated rows tie at every distance
+    y = rng.integers(1, 5, size=90)
+    y[:4] = [1, 2, 3, 4]
+    return X, y
+
+
+def _knn_tables():
+    """(features, labels, n_classes) per case; even rows train, odd rows query."""
+    ds = _synth(31, 4, 20, 500)
+    X, y = _integer_table()
+    return {
+        "synth-w10": (ds.features[:, :10], ds.labels, ds.n_classes),
+        "synth-w500": (ds.features, ds.labels, ds.n_classes),
+        "integer-ties": (X, y, int(y.max())),
+    }
+
+
+def observe_knn(X, y, n_classes) -> dict:
+    out = {}
+    for k in (1, 3, 5):
+        clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X[0::2], y[0::2], n_classes)
+        labels = [int(v) for v in clf.predict(X[1::2])]
+        out[str(k)] = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
+    return out
+
+
 def observe_forest(model, queries) -> dict:
     return {
         "dump_sha256": hashlib.sha256(dump_forest(model).encode()).hexdigest(),
@@ -101,3 +133,8 @@ def test_screen_matches_golden(name):
     build, config = SCREEN_CASES[name]
     assert observe_screen(screen(build(), config)) == GOLDEN["screens"][name]
 
+
+
+@pytest.mark.parametrize("name", sorted(_knn_tables()))
+def test_knn_labels_match_golden(name):
+    assert observe_knn(*_knn_tables()[name]) == GOLDEN["knn"][name]
