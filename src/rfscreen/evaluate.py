@@ -1,21 +1,19 @@
 """Measurement harness: classifiers, cross-validation, grid search, sweeps.
 
-``cross_validate`` is leak-safe by construction: the screener is fitted on
-the training rows of each fold only, then both portions are reduced before
-the classifier sees them.  The screen-once protocol (screen the full table
-up front, then cross-validate classifiers on the reduced view) is
-:func:`reduce_full` followed by :func:`screen_once_report`, which is also
-how the command-line ``evaluate`` behaves unless asked to re-screen per
-fold.
-
-CPU cost is split into screening seconds (the reduction fit) and fitting
-seconds (classifier training), both measured as process CPU time.
+``cross_validate`` is leak-safe: the screener is fitted on each fold's
+training rows only, and both portions are reduced before the classifier
+sees them.  The screen-once protocol, the command-line ``evaluate`` default,
+is :func:`reduce_full` followed by :func:`screen_once_report`.  kNN screens
+neighbours with one matmul per call and re-scores the rows near its cut
+exactly.  CPU cost is split into screening seconds (the reduction fit) and
+fitting seconds (classifier training), both measured as process CPU time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .rfms import ScreeningConfig, screen
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
 CLASSIFIER_NAMES = ("knn", "rf", "majority")
-_SCAN_BLOCK_ELEMENTS = 1 << 22  # see _knn_batch
 
 
 @dataclass(frozen=True)
@@ -151,50 +148,53 @@ def knn_predict(train: Dataset, query, k: int) -> int:
     """Majority label among the k nearest training rows (Euclidean).
 
     Distance ties resolve to the smaller training index, vote ties to the
-    smaller class id.
+    smaller class id.  A query holding NaN or inf is rejected.
     """
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (train.n_features,):
         raise ValueError(f"expected a vector of length {train.n_features}")
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in 1..{train.n_samples}")
-    return int(_knn_batch(train.features, train.labels, q[None, :], k, train.n_classes)[0])
+    return int(fit_classifier(ClassifierSpec("knn", {"k": k}), train.features, train.labels,
+                              train.n_classes).predict(q[None, :])[0])
 
 
 def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
-    # Queries go in blocks whose (queries x train x features) difference
-    # tensor stays under _SCAN_BLOCK_ELEMENTS.  Each distance is still summed
-    # over one query's own row, so blocking changes no sum and no tie order.
-    block = max(1, _SCAN_BLOCK_ELEMENTS // train_X.size)
+    # Screen: one matmul gives the proxy |q|^2 + |x|^2 - 2 q.x, within tol of the
+    # exact distance (the sum of diff*diff over one row) in any summation order
+    # by Higham's gamma_d bound.  Rows within 2 tol of the k-th proxy, or whose
+    # proxy or cut overflowed, are re-scored exactly; ties go to the lower row.
+    if not np.isfinite(queries).all():
+        raise ValueError("kNN query holds a non-finite value (NaN or inf)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_sq, x_sq = (np.einsum("ij,ij->i", m, m) for m in (queries, train_X))
+        proxy = q_sq[:, None] + x_sq - 2.0 * (queries @ train_X.T)
+        tol = 4 * (train_X.shape[1] + 1) * np.finfo(np.float64).eps * (q_sq + x_sq.max())
+        cut = np.partition(proxy, k - 1, axis=1)[:, k - 1] + 2.0 * tol
+    keep = (proxy <= np.where(np.isfinite(cut), cut, np.inf)[:, None]) | ~np.isfinite(proxy)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], block):
-        diffs = queries[start:start + block, None, :] - train_X[None, :, :]
-        dist2 = np.sum(diffs * diffs, axis=2)
-        nearest = train_y[np.argsort(dist2, axis=1, kind="stable")[:, :k]]
-        votes = (nearest[:, :, None] == np.arange(n_classes + 1)).sum(axis=1)
-        out[start:start + block] = np.argmax(votes, axis=1)
+    for i, q in enumerate(queries):
+        rows = np.flatnonzero(keep[i])
+        diffs = train_X[rows]  # (x - q)**2 has the bits of (q - x)**2
+        dist2 = np.sum(np.square(np.subtract(diffs, q, out=diffs), out=diffs), axis=1)
+        nearest = train_y[rows[np.argsort(dist2, kind="stable")[:k]]]
+        out[i] = np.argmax(np.bincount(nearest, minlength=n_classes + 1))
     return out
 
 
-class _FittedClassifier:
-    def __init__(self, predict):
-        self.predict = predict
-
-
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
-                   n_classes: int) -> _FittedClassifier:
+                   n_classes: int) -> SimpleNamespace:
+    """A fitted classifier: an object whose ``predict`` maps rows to labels."""
     p = spec.params
     if spec.name == "majority":
         klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
-        return _FittedClassifier(lambda X: np.full(X.shape[0], klass, dtype=np.int64))
+        return SimpleNamespace(predict=lambda X: np.full(X.shape[0], klass, dtype=np.int64))
     if spec.name == "knn":
         k = int(p.get("k", 5))
         if not 1 <= k <= train_X.shape[0]:
             raise ValueError(f"knn k must be in 1..{train_X.shape[0]}")
         X = np.array(train_X, dtype=np.float64)
         y = np.array(train_y, dtype=np.int64)
-        return _FittedClassifier(lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64),
-                                                      k, n_classes))
+        return SimpleNamespace(
+            predict=lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64), k, n_classes))
     params = ForestParams(
         n_trees=int(p.get("n_trees", 50)),
         n_subfeatures=min(int(p.get("n_subfeatures", max(1, round(train_X.shape[1] ** 0.5)))),
@@ -207,7 +207,7 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
     train = Dataset(features=train_X, labels=train_y,
                     feature_names=tuple(f"c{i}" for i in range(train_X.shape[1])))
     model = train_forest(train, params)
-    return _FittedClassifier(lambda X: forest_predict_batch(model, X))
+    return SimpleNamespace(predict=lambda X: forest_predict_batch(model, X))
 
 
 @dataclass(frozen=True)

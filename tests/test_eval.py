@@ -1,5 +1,7 @@
 """Harness: kNN, cross-validation, grid search, convergence sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import make_dataset, oracle_knn
 from rfscreen import (ClassifierSpec, ScreenerSpec, convergence_sweep, cross_validate,
                       fit_screener, grid_search, kbest_fscore, knn_predict, pca_transform,
                       reduce_full, stratified_kfold)
+from rfscreen.evaluate import fit_classifier
 
 
 def _blobs(seed=0, n=60, f=5, k=3, spread=1.0):
@@ -48,6 +51,110 @@ class TestKnnPredict:
             knn_predict(ds, [0.0], k=2)
         with pytest.raises(ValueError):
             knn_predict(ds, [0.0, 1.0], k=1)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_query(self, bad):
+        ds = _blobs(seed=2)
+        q = ds.features[0].copy()
+        q[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_predict(ds, q, k=3)
+        clf = fit_classifier(ClassifierSpec("knn", {"k": 3}), ds.features, ds.labels, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            clf.predict(np.vstack([ds.features[:2], q]))
+
+
+class TestKnnScreen:
+    """The matmul screen must never drop a true neighbour.
+
+    Every case is built so that the proxy distance cannot order the rows:
+    exact ties, ties one ulp apart, and offsets or magnitudes where the proxy
+    cancels or overflows.  Labels must equal the distance-sort oracle's, one
+    query at a time and in one batch.
+    """
+
+    @staticmethod
+    def _check(X, y, queries, ks):
+        X, y, queries = np.asarray(X, float), np.asarray(y), np.asarray(queries, float)
+        ds = make_dataset(X, y)
+        for k in ks:
+            expected = [oracle_knn(X, y, q, k) for q in queries]
+            assert [knn_predict(ds, q, k) for q in queries] == expected
+            clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X, y, int(y.max()))
+            assert clf.predict(queries).tolist() == expected
+
+    def test_duplicated_rows_straddle_the_cut(self):
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(10, 4))
+        X = np.vstack([base, base, base])  # every row three times
+        y = rng.integers(1, 4, size=30)
+        y[[3, 13, 23]] = [1, 2, 2]  # k=2 keeps rows 3 and 13: a 1-1 vote, class 1
+        queries = np.vstack([base[3] + 1e-3, base, rng.normal(size=(10, 4))])
+        self._check(X, y, queries, ks=(1, 2, 3, 4, 5, 7))
+
+    def test_integer_features_with_many_exact_ties(self):
+        rng = np.random.default_rng(32)
+        X = rng.integers(0, 3, size=(60, 5))
+        y = rng.integers(1, 5, size=60)
+        queries = np.vstack([rng.integers(0, 3, size=(20, 5)),
+                             rng.integers(0, 5, size=(10, 5)) / 2])
+        self._check(X, y, queries, ks=(1, 2, 3, 5, 8))
+
+    def test_neighbours_one_ulp_apart(self):
+        rng = np.random.default_rng(33)
+        base = rng.normal(size=6)
+        X = base + np.spacing(base) * rng.integers(-2, 3, size=(40, 6))
+        y = rng.integers(1, 4, size=40)
+        queries = np.vstack([X[:10], base + np.spacing(base) * rng.integers(-3, 4, size=(10, 6))])
+        self._check(X, y, queries, ks=(1, 2, 3, 6))
+
+    def test_common_offset_cancels_the_proxy(self):
+        # At 1e8 the proxy's rounding dwarfs every distance, so every row is
+        # a candidate and the exact re-score alone orders them.
+        rng = np.random.default_rng(34)
+        X = 1e8 + rng.normal(size=(40, 6))
+        X[20:25] = X[:5]
+        y = rng.integers(1, 4, size=40)
+        queries = np.vstack([X[:5], 1e8 + rng.normal(size=(15, 6))])
+        self._check(X, y, queries, ks=(1, 3, 5))
+
+    def test_k_equals_n_train(self):
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(9, 3))
+        y = np.array([1, 2, 3, 1, 2, 3, 2, 1, 3])  # a three-way vote tie: class 1
+        self._check(X, y, rng.normal(size=(5, 3)), ks=(9,))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norms_are_rescored(self):
+        # |x|^2 overflows near 1e160, so the proxy and the cut are inf or NaN;
+        # the exact per-row sums must still decide.  Between a unit-scale row
+        # and a 1e160 row the exact sum overflows too, as it always has.
+        rng = np.random.default_rng(36)
+        huge = 1e160 + 1e150 * rng.normal(size=(20, 4))
+        X = np.vstack([rng.normal(size=(20, 4)), huge])
+        y = rng.integers(1, 4, size=40)
+        queries = np.vstack([huge[:5] + 1e149, 1e160 + 1e150 * rng.normal(size=(5, 4)),
+                             rng.normal(size=(5, 4))])
+        self._check(X, y, queries, ks=(1, 3, 5))
+        self._check(huge, y[:20], queries[:10], ks=(1, 3))
+
+    def test_predict_memory_is_bounded_when_every_row_is_a_candidate(self):
+        # tracemalloc sees numpy's buffers.  A queries x train x features
+        # tensor, or an all-pairs re-score, would need many training matrices.
+        rng = np.random.default_rng(37)
+        X = 1e8 + rng.normal(size=(320, 2000))
+        y = rng.integers(1, 11, size=320)
+        queries = 1e8 + rng.normal(size=(80, 2000))
+        clf = fit_classifier(ClassifierSpec("knn", {"k": 5}), X, y, 10)
+        tracemalloc.start()
+        try:
+            labels = clf.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * X.nbytes
+        assert labels[:5].tolist() == [oracle_knn(X, y, q, 5) for q in queries[:5]]
 
 
 class TestFitScreener:

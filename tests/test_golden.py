@@ -5,8 +5,8 @@ change in the order in which trees consume their random streams would pass
 them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
 labels from the difference-tensor kNN), and must pass unchanged for as
-long as the determinism contract holds.  Never regenerate golden.json to make a
-change pass: a mismatch means the bits of the output moved.
+long as the determinism contract holds.  Never regenerate golden.json to
+make a change pass: a mismatch means the bits of the output moved.
 """
 
 import hashlib
