@@ -1,10 +1,11 @@
-"""Golden outputs: one fixed forest, three fixed screens and kNN labels, frozen in golden.json.
+"""Golden outputs: one forest, three screens, kNN labels and sweep cells, frozen in golden.json.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
 them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
-labels from the difference-tensor kNN), and must pass unchanged for as
+labels from the difference-tensor kNN, the sweep cells from the harness
+that refitted each fold's screener once per cell), and must pass unchanged for as
 long as the determinism contract holds.  Never regenerate golden.json to
 make a change pass: a mismatch means the bits of the output moved.
 """
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset
-from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreeningConfig,
-                      dump_forest, forest_predict, forest_predict_batch, generate, screen,
-                      selection_frequency, train_forest)
+from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
+                      ScreeningConfig, convergence_sweep, dump_forest, evaluate, forest_predict,
+                      forest_predict_batch, generate, grid_search, screen, selection_frequency,
+                      train_forest)
 from rfscreen.evaluate import fit_classifier
 
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
@@ -138,3 +140,44 @@ def test_screen_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(_knn_tables()))
 def test_knn_labels_match_golden(name):
     assert observe_knn(*_knn_tables()[name]) == GOLDEN["knn"][name]
+
+
+def cells_digest(entries) -> str:
+    """sha256 of every cell's (n_features_out, classifier_id, fold_accuracies)."""
+    cells = [[e.n_features_out, e.classifier_id, list(e.fold_accuracies)] for e in entries]
+    return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+
+
+def sweep_cells(monkeypatch):
+    """Cells of a leak-safe kbest sweep to full width, recorded as they are measured."""
+    cells = []
+    cross_validate = evaluate.cross_validate
+
+    def recording(*args, **kwargs):
+        cells.append(cross_validate(*args, **kwargs))
+        return cells[-1]
+
+    monkeypatch.setattr(evaluate, "cross_validate", recording)
+    grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [ClassifierSpec("majority")]
+    convergence_sweep(_synth(53, 3, 12, 40), ScreenerSpec("kbest"), grid,
+                      counts=[3, 12, 40], folds=3, seed=19, leak_safe=True)
+    return cells
+
+
+def grid_cells():
+    """Cells of a grid over pca and a small rfms screener with 1-NN."""
+    rfms = ScreenerSpec("rfms", {"n_out": 4, "step_size": 10, "n_trees": 6,
+                                 "n_subfeatures": 4, "seed": 5})
+    report = grid_search(_synth(59, 3, 12, 30), [ScreenerSpec("pca", {"n_out": 5}), rfms],
+                         [ClassifierSpec("knn", {"k": 1})], folds=3, seed=23)
+    return report.entries
+
+
+def test_leak_safe_sweep_cells_match_golden(monkeypatch):
+    cells = sweep_cells(monkeypatch)
+    assert len(cells) == 9
+    assert cells_digest(cells) == GOLDEN["sweep"]["kbest-leak-safe"]
+
+
+def test_grid_cells_match_golden():
+    assert cells_digest(grid_cells()) == GOLDEN["sweep"]["pca-rfms-grid"]
