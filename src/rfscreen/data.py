@@ -181,16 +181,15 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Write the standard CSV form: header row, label column first.
 
-    Floats are written with ``repr`` so a round-trip through
-    :func:`load_csv` reproduces the matrix exactly.
+    The header goes through ``csv.writer``, which quotes names as needed.
+    Each data row is one ``repr`` per float, joined by hand one row at a
+    time (no cell needs quoting), so a round-trip through :func:`load_csv`
+    reproduces the matrix exactly and no Python copy of the table is built.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label_column, *dataset.feature_names])
-        for i in range(dataset.n_samples):
-            writer.writerow(
-                [int(dataset.labels[i]), *(repr(float(v)) for v in dataset.features[i])]
-            )
+        csv.writer(fh).writerow([label_column, *dataset.feature_names])
+        for label, row in zip(dataset.labels, dataset.features):
+            fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def stratified_kfold(dataset: Dataset, folds: int, seed: int):

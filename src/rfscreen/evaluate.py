@@ -1,12 +1,14 @@
 """Measurement harness: classifiers, cross-validation, grid search, sweeps.
 
 ``cross_validate`` is leak-safe: the screener is fitted on each fold's
-training rows only, and both portions are reduced before the classifier
-sees them.  The screen-once protocol, the command-line ``evaluate`` default,
-is :func:`reduce_full` followed by :func:`screen_once_report`.  kNN screens
-neighbours with one matmul per call and re-scores the rows near its cut
-exactly.  CPU cost is split into screening seconds (the reduction fit) and
-fitting seconds (classifier training), both measured as process CPU time.
+training rows only, and both portions are gathered from the table already
+reduced.  :func:`grid_search` fits each screener once per fold and shares
+the fits across its classifier cells.  The screen-once protocol, the
+command-line ``evaluate`` default, is :func:`reduce_full` followed by
+:func:`screen_once_report`.  kNN screens neighbours with one matmul per call
+and re-scores the rows near its cut exactly.  CPU cost is split into
+screening seconds (the reduction fits a cell uses, shared or not) and fitting
+seconds (classifier training), both measured as process CPU time.
 """
 
 from __future__ import annotations
@@ -84,11 +86,6 @@ class FittedScreener:
         if self.pca is not None:
             return self.pca.n_components
         return len(self.selected)
-
-    def reduce(self, features: np.ndarray) -> np.ndarray:
-        if self.pca is not None:
-            return pca_transform(self.pca, features)
-        return np.asarray(features)[:, list(self.selected.indices)]
 
     def view(self, dataset: Dataset) -> Dataset:
         """The reduced dataset: the selected columns, or PCA scores named ``pc1..``."""
@@ -233,39 +230,52 @@ class EvaluationReport:
         return self.entries[self.best_index]
 
 
+def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
+    """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows."""
+    fits = []
+    for train_rows, _ in folds_idx:
+        labels = dataset.labels[train_rows]
+        if labels.min() == labels.max():
+            raise ValueError("a training fold holds a single class; cross-validation needs 2")
+        train = Dataset(features=dataset.features[train_rows], labels=labels,
+                        feature_names=dataset.feature_names)
+        t0 = time.process_time()
+        fitted = fit_screener(screener, train)
+        fits.append((fitted, 0.0 if screener.name == "identity" else time.process_time() - t0))
+    return fits
+
+
 def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: ClassifierSpec,
-                   folds: int = 5, seed: int = 20230125, folds_idx=None) -> ReportEntry:
+                   folds: int = 5, seed: int = 20230125, folds_idx=None, *,
+                   fits=None) -> ReportEntry:
     """Fold-internal screening and classification; returns the cell entry.
 
     The screener only ever sees training rows, so the reported accuracy is
-    free of selection leakage.  The identity screener reports a screening
-    time of exactly 0.
+    free of selection leakage.  ``fits``, one ``(FittedScreener, cpu_s)`` per
+    fold of ``folds_idx``, lets :func:`grid_search` share a screener's fits
+    across its classifier cells; without it the folds are fitted here.  A
+    cell's ``screening_cpu_s`` is the CPU time of its fits, so cells sharing
+    fits report the same figure; the identity screener reports exactly 0.
     """
     if folds_idx is None:
-        if folds < 2:
-            raise ValueError("folds must be at least 2")
         folds_idx = stratified_kfold(dataset, folds, seed)
+    if fits is None:
+        fits = _fit_folds(dataset, screener, folds_idx)
     accuracies = []
-    screening_cpu = 0.0
     fitting_cpu = 0.0
     n_out = dataset.n_features
-    for train_rows, test_rows in folds_idx:
-        train = Dataset(features=dataset.features[train_rows],
-                        labels=dataset.labels[train_rows],
-                        feature_names=dataset.feature_names)
-        if train.labels.min() == train.labels.max():
-            raise ValueError("a training fold holds a single class; cross-validation needs 2")
-        t0 = time.process_time()
-        fitted = fit_screener(screener, train)
-        if screener.name != "identity":
-            screening_cpu += time.process_time() - t0
+    for (train_rows, test_rows), (fitted, _) in zip(folds_idx, fits, strict=True):
         n_out = fitted.n_out
-        reduced_train = fitted.reduce(train.features)
-        reduced_test = fitted.reduce(dataset.features[test_rows])
+        if fitted.pca is None:
+            train_X, test_X = (dataset.features[np.ix_(rows, fitted.selected.indices)]
+                               for rows in (train_rows, test_rows))
+        else:  # training rows column-major, as in the fold table: the projected bits are kept
+            train_X = pca_transform(fitted.pca, np.asfortranarray(dataset.features[train_rows]))
+            test_X = pca_transform(fitted.pca, dataset.features[test_rows])
         t0 = time.process_time()
-        clf = fit_classifier(classifier, reduced_train, train.labels, dataset.n_classes)
+        clf = fit_classifier(classifier, train_X, dataset.labels[train_rows], dataset.n_classes)
         fitting_cpu += time.process_time() - t0
-        predictions = clf.predict(reduced_test)
+        predictions = clf.predict(test_X)
         accuracies.append(float(np.mean(predictions == dataset.labels[test_rows])))
     return ReportEntry(
         screener_id=screener.label(),
@@ -273,7 +283,7 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
         n_features_out=n_out,
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
-        screening_cpu_s=screening_cpu,
+        screening_cpu_s=sum(cpu for _, cpu in fits),
         fitting_cpu_s=fitting_cpu,
     )
 
@@ -301,14 +311,21 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
 
     Ties keep the earliest cell in grid order (screeners outer, classifiers
-    inner), so the result is deterministic.
+    inner), so the result is deterministic.  One fold split serves every
+    cell.  Each screener is fitted once per fold and the fits are shared by
+    its classifier cells, so a PCA screener holds one ``PcaModel`` per fold
+    (p x n_out floats each) while they run.
     """
     screener_grid = list(screener_grid)
     classifier_grid = list(classifier_grid)
     if not screener_grid or not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
-    entries = [cross_validate(dataset, s_spec, c_spec, folds=folds, seed=seed)
-               for s_spec in screener_grid for c_spec in classifier_grid]
+    folds_idx = stratified_kfold(dataset, folds, seed)
+    entries = []
+    for s_spec in screener_grid:
+        fits = _fit_folds(dataset, s_spec, folds_idx)
+        entries += [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits)
+                    for c_spec in classifier_grid]
     return _report(entries)
 
 
@@ -318,11 +335,13 @@ def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: floa
 
     ``reduced`` is the whole table after one screen; every cell is reported
     under ``screener_id`` with that screen's ``screening_cpu_s``.  The best
-    cell follows :func:`grid_search`'s rule.
+    cell follows :func:`grid_search`'s rule, and the cells share one fold split.
     """
+    identity = ScreenerSpec("identity")
+    folds_idx = stratified_kfold(reduced, folds, seed)
+    fits = _fit_folds(reduced, identity, folds_idx)
     return _report([
-        replace(cross_validate(reduced, ScreenerSpec("identity"), c_spec, folds=folds,
-                               seed=seed),
+        replace(cross_validate(reduced, identity, c_spec, folds_idx=folds_idx, fits=fits),
                 screener_id=screener_id, screening_cpu_s=screening_cpu_s)
         for c_spec in classifier_grid
     ])

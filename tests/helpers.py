@@ -5,6 +5,7 @@ available (exhaustive scans, per-group sums) and stay independent of the
 library code paths they check.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -25,6 +26,16 @@ def make_dataset(X, y, names=None):
     if names is None:
         names = tuple(f"f{i + 1}" for i in range(X.shape[1]))
     return Dataset(features=X, labels=np.asarray(y, dtype=np.int64), feature_names=names)
+
+
+def oracle_write_csv(features, labels, names, path, label_column="label"):
+    """The standard CSV form cell by cell through ``csv.writer``: ``repr`` of
+    each float, the label as an int, the label column first."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([label_column, *names])
+        for label, row in zip(labels, features):
+            writer.writerow([int(label), *(repr(float(v)) for v in row)])
 
 
 def oracle_best_split(X, y, candidates, min_samples_leaf=1, min_purity_increase=0.0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_dataset
+from helpers import make_dataset, oracle_write_csv
 from rfscreen import CsvFormatError, FeatureSubset, load_csv, stratified_kfold, write_csv
 
 
@@ -59,6 +59,18 @@ class TestLoadCsv:
         write_csv(ds, path)
         again = load_csv(path)
         assert again == ds
+
+    def test_write_matches_cell_by_cell_oracle(self, tmp_path):
+        values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, -2.5e-300, 123456789.0]
+        X = np.array([values, values[::-1], [v * -7 for v in values]])
+        names = ("plain", "with,comma", 'with "quote"', "with\nnewline", " spaced ",
+                 "ünï", "x;y", "")
+        ds = make_dataset(X, [3, 1, 2], names=names)
+        written, expected = tmp_path / "written.csv", tmp_path / "oracle.csv"
+        write_csv(ds, written, label_column="class id")
+        oracle_write_csv(X, [3, 1, 2], names, expected, label_column="class id")
+        assert written.read_bytes() == expected.read_bytes()
+        assert load_csv(written, label_column="class id").features.tolist() == X.tolist()
 
     def test_remapped_label_maximum_counts_distinct_sources(self, tmp_path):
         path = _write(tmp_path, "label,f1\nx,1\ny,2\nz,3\nx,4\n")

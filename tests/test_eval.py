@@ -7,8 +7,8 @@ import pytest
 
 from helpers import make_dataset, oracle_knn
 from rfscreen import (ClassifierSpec, ScreenerSpec, convergence_sweep, cross_validate,
-                      fit_screener, grid_search, kbest_fscore, knn_predict, pca_transform,
-                      reduce_full, stratified_kfold)
+                      evaluate, fit_screener, grid_search, kbest_fscore, knn_predict,
+                      pca_fit, pca_transform, reduce_full, stratified_kfold)
 from rfscreen.evaluate import fit_classifier
 
 
@@ -242,6 +242,25 @@ class TestCrossValidate:
         assert entry.n_features_out == 2
         assert entry.screening_cpu_s >= 0.0
 
+    def test_pca_training_rows_project_as_the_fold_table_does(self, monkeypatch):
+        # pca_transform's last bits depend on the memory order of its input
+        ds = _blobs(seed=23, n=45, f=40)  # wider than a training fold is tall
+        folds_idx = stratified_kfold(ds, 3, seed=3)
+        seen = []
+
+        def capturing(spec, train_X, train_y, n_classes):
+            seen.append(train_X)
+            return fit_classifier(spec, train_X, train_y, n_classes)
+
+        monkeypatch.setattr(evaluate, "fit_classifier", capturing)
+        cross_validate(ds, ScreenerSpec("pca", {"n_out": 4}), ClassifierSpec("knn", {"k": 1}),
+                       folds_idx=folds_idx)
+        assert len(seen) == 3
+        for (train_rows, _), got in zip(folds_idx, seen):
+            train = make_dataset(ds.features[train_rows], ds.labels[train_rows],
+                                 names=ds.feature_names)
+            np.testing.assert_array_equal(got, pca_transform(pca_fit(train, 4), train.features))
+
     def test_rf_classifier_runs(self):
         ds = _blobs(seed=9, n=45, k=3)
         entry = cross_validate(ds, ScreenerSpec("identity"),
@@ -278,16 +297,49 @@ class TestGridSearch:
         assert report.best_index == first_max
 
     def test_cells_match_independent_recompute(self):
-        ds = _blobs(seed=13)
-        screeners = [ScreenerSpec("kbest", {"n_out": 2}), ScreenerSpec("identity")]
+        ds = _blobs(seed=13, f=8)
+        screeners = [ScreenerSpec("kbest", {"n_out": 2}), ScreenerSpec("identity"),
+                     ScreenerSpec("pca", {"n_out": 3}),
+                     ScreenerSpec("rfms", {"n_out": 3, "step_size": 4, "n_trees": 5,
+                                           "n_subfeatures": 3, "seed": 7})]
         grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)]
         report = grid_search(ds, screeners, grid, folds=3, seed=4)
         i = 0
         for s_spec in screeners:
             for c_spec in grid:
                 again = cross_validate(ds, s_spec, c_spec, folds=3, seed=4)
+                assert report.entries[i].screener_id == again.screener_id
+                assert report.entries[i].n_features_out == again.n_features_out
                 assert report.entries[i].fold_accuracies == again.fold_accuracies
                 i += 1
+
+    def test_each_screener_is_fitted_once_per_fold(self, monkeypatch):
+        ds = _blobs(seed=20, f=6)
+        fitted = []
+
+        def counting(spec, train):
+            fitted.append(spec.label())
+            return fit_screener(spec, train)
+
+        monkeypatch.setattr(evaluate, "fit_screener", counting)
+        screeners = [ScreenerSpec("kbest", {"n_out": 2}), ScreenerSpec("pca", {"n_out": 2})]
+        grid = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("knn", {"k": 3}),
+                ClassifierSpec("majority")]
+        report = grid_search(ds, screeners, grid, folds=3, seed=5)
+        assert fitted == ["kbest(2)"] * 3 + ["pca(2)"] * 3
+        assert len(report.entries) == 6
+        # cells that share a screener's fits report the same screening time
+        for first in (0, 3):
+            cells = report.entries[first:first + 3]
+            assert len({e.screening_cpu_s for e in cells}) == 1
+
+    def test_folds_below_two_rejected(self):
+        ds = _blobs(seed=21)
+        with pytest.raises(ValueError, match="folds must be at least 2"):
+            grid_search(ds, [ScreenerSpec("identity")], [ClassifierSpec("majority")],
+                        folds=1, seed=0)
+        with pytest.raises(ValueError, match="folds must be at least 2"):
+            cross_validate(ds, ScreenerSpec("identity"), ClassifierSpec("majority"), folds=1)
 
     def test_empty_grid_rejected(self):
         ds = _blobs(seed=14)
@@ -333,6 +385,29 @@ class TestConvergenceSweep:
         direct = cross_validate(ds, ScreenerSpec("kbest", {"n_out": 2}),
                                 ClassifierSpec("knn", {"k": 1}), folds=3, seed=9)
         assert rows[0].best_accuracy == direct.mean_accuracy
+
+    def test_leak_safe_sweep_ranks_the_module_cross_validate_cells(self, monkeypatch):
+        ds = _blobs(seed=22, f=6)
+        cells = []
+        cross_validate_fn = evaluate.cross_validate
+
+        def recording(*args, **kwargs):
+            cells.append(cross_validate_fn(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(evaluate, "cross_validate", recording)
+        grid = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("knn", {"k": 3}),
+                ClassifierSpec("majority")]
+        counts = [1, 3, 6]
+        rows = convergence_sweep(ds, ScreenerSpec("kbest"), grid, counts=counts,
+                                 folds=3, seed=10, leak_safe=True)
+        assert [(e.n_features_out, e.classifier_id) for e in cells] == [
+            (n, c.label()) for n in counts for c in grid]
+        for row, width in zip(rows, (cells[i:i + 3] for i in range(0, 9, 3))):
+            best = max(width, key=lambda e: e.mean_accuracy)
+            assert (row.best_accuracy, row.best_classifier_id, row.screening_cpu_s,
+                    row.fitting_cpu_s) == (best.mean_accuracy, best.classifier_id,
+                                           best.screening_cpu_s, best.fitting_cpu_s)
 
     def test_count_bounds(self):
         ds = _blobs(seed=19)
