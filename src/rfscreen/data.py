@@ -117,12 +117,14 @@ class FeatureSubset:
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file into a Dataset.
 
-    The first row is the header.  Every column except ``label_column`` must
-    parse as a finite float; violations are reported with their 1-based data
-    row and column name.  Labels are remapped to ``1..k`` in order of first
-    occurrence.
+    The first row is the header; a leading byte-order mark is ignored.  Every
+    column except ``label_column`` must parse as a finite float under
+    ``float()``; the first violation is reported with its 1-based data row and
+    column name.  Labels are remapped to ``1..k`` in order of first occurrence.
+    Each data row becomes one float64 array, and the matrix is built from them
+    in one column-major copy that :class:`Dataset` keeps without copying again.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -137,45 +139,41 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         if not feature_names:
             raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
 
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         raw_labels: list[str] = []
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            values = []
-            for pos, cell in enumerate(row):
-                if pos == label_pos:
-                    raw_labels.append(cell)
-                    continue
-                name = header[pos]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric value {cell!r} at row {row_num}, column {name}"
-                    ) from None
-                if math.isnan(value) or math.isinf(value):
-                    raise CsvFormatError(
-                        f"{path}: non-finite value {cell!r} at row {row_num}, column {name}"
-                    )
-                values.append(value)
+            raw_labels.append(row.pop(label_pos))
+            try:
+                values = np.fromiter(map(float, row), np.float64, len(row))
+                if not np.isfinite(values).all():
+                    raise ValueError
+            except ValueError:
+                raise _bad_cell(path, row_num, feature_names, row) from None
             rows.append(values)
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
 
     remap: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, raw in enumerate(raw_labels):
-        if raw not in remap:
-            remap[raw] = len(remap) + 1
-        labels[i] = remap[raw]
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=labels,
+        features=np.array(rows, order="F"),
+        labels=[remap.setdefault(raw, len(remap) + 1) for raw in raw_labels],
         feature_names=feature_names,
     )
+
+
+def _bad_cell(path, row_num: int, names, cells) -> CsvFormatError:
+    """The error naming the first bad cell of a row, in column order."""
+    for name, cell in zip(names, cells):
+        try:
+            kind = None if math.isfinite(float(cell)) else "non-finite"
+        except ValueError:
+            kind = "non-numeric"
+        if kind:
+            return CsvFormatError(f"{path}: {kind} value {cell!r} at row {row_num}, column {name}")
 
 
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:

@@ -19,20 +19,15 @@ from .rfms import ScreeningResult
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _numpy_to_json(o):
+    """``json`` hook for numpy values; ``np.float64`` is a ``float`` and never gets here."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def dumps(document: dict) -> str:
-    return json.dumps(_plain(document), sort_keys=True, indent=2) + "\n"
+    return json.dumps(document, sort_keys=True, indent=2, default=_numpy_to_json) + "\n"
 
 
 def write_json(document: dict, path) -> None:

@@ -38,6 +38,23 @@ def oracle_write_csv(features, labels, names, path, label_column="label"):
             writer.writerow([int(label), *(repr(float(v)) for v in row)])
 
 
+def oracle_load_csv(path, label_column="label"):
+    """``csv.reader`` and ``float()`` cell by cell: the feature rows as lists
+    of floats, the labels numbered ``1..k`` by first occurrence, and the
+    feature names."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *body = csv.reader(fh)
+    pos = header.index(label_column)
+    ids = {}
+    rows, labels = [], []
+    for row in body:
+        if row[pos] not in ids:
+            ids[row[pos]] = len(ids) + 1
+        labels.append(ids[row[pos]])
+        rows.append([float(cell) for i, cell in enumerate(row) if i != pos])
+    return rows, labels, tuple(name for i, name in enumerate(header) if i != pos)
+
+
 def oracle_best_split(X, y, candidates, min_samples_leaf=1, min_purity_increase=0.0):
     """Exhaustive scan of every (feature, midpoint) pair, recomputing the
     weighted Gini decrease from scratch for each one."""

@@ -1,9 +1,13 @@
 """Dataset model, CSV round-trips, and stratified splitting."""
 
+import codecs
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_write_csv
+from helpers import make_dataset, oracle_load_csv, oracle_write_csv
 from rfscreen import CsvFormatError, FeatureSubset, load_csv, stratified_kfold, write_csv
 
 
@@ -77,6 +81,53 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert ds.labels.max() == 3
 
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,f1,f2\na,nan,abc\n", "non-finite value 'nan' at row 1, column f1"),
+        ("label,f1,f2\na,abc,nan\n", "non-numeric value 'abc' at row 1, column f1"),
+        ("label,f1,f2\na,1,2\nb,3,1e400\n", "non-finite value '1e400' at row 2, column f2"),
+        ("label,f1,f2\na,1,2\nb,3\nc,4,5\n", "row 2 has 2 cells, expected 3"),
+        ("label,f1,f2\na,1,2\n\nc,4,5\n", "row 2 has 0 cells, expected 3"),
+    ])
+    def test_first_bad_cell_of_a_row_is_reported(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(CsvFormatError, match=re.escape(f"{path}: {message}")):
+            load_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_parse_matches_cell_by_cell_oracle(self, tmp_path, newline):
+        lines = ["f1,label,f2,f3",
+                 " 1.5 ,b,1_000,\u0661\u0662",
+                 "-0.0,a,5e-324,1e-400",
+                 '"2.5",b,-7,+3E2']
+        path = tmp_path / "cells.csv"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        rows, labels, names = oracle_load_csv(path)
+        ds = load_csv(path)
+        assert ds.features.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert ds.labels.tolist() == labels == [1, 2, 1]
+        assert ds.feature_names == names == ("f1", "f2", "f3")
+
+    @pytest.mark.parametrize("header, row", [("label,f1", "a,1"), ("f1,label", "1,a")])
+    def test_leading_byte_order_mark_ignored(self, tmp_path, header, row):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + f"{header}\r\n{row}\r\n".encode())
+        ds = load_csv(path)
+        assert ds.feature_names == ("f1",)
+        assert ds.features.tolist() == [[1.0]]
+
+    def test_load_holds_the_table_at_most_three_times(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "wide.csv"
+        write_csv(make_dataset(rng.normal(size=(100, 1000)), [1, 2] * 50), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.flags.f_contiguous
+        assert peak <= 3 * ds.features.nbytes
 
 class TestDatasetModel:
     def test_immutable_arrays(self):
