@@ -109,10 +109,11 @@ _PASS_ELEMENTS = 1 << 14
 
 
 def _dense_ranks(X) -> np.ndarray:
-    """Per-column dense ranks, built a column at a time in the smallest type."""
-    ranks = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0]))
+    """Per-column dense ranks in the smallest type, built a column at a time,
+    laid out ``(n_features, n_rows)`` in C order: ``(row r, column j)`` is ``j * n_rows + r``."""
+    ranks = np.empty(X.shape[::-1], dtype=np.min_scalar_type(X.shape[0]))
     for j in range(X.shape[1]):
-        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+        ranks[j] = np.unique(X[:, j], return_inverse=True)[1]
     return ranks
 
 
@@ -139,15 +140,20 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     """Best admissible ``(feature, threshold, decrease)``, or None, of each
     impure job ``(rows, sorted candidates, class counts)``, in one pass.
 
-    A segment is one job's rows sorted by one candidate.  Moving a row with
-    ``m`` same-class rows ahead of it (``t`` in the node) to the left adds
-    ``2m + 1`` to the left sum of squared class counts and takes
-    ``2(t - m) - 1`` from the right one, so each boundary's proxy
+    A segment is one job's rows sorted by one candidate; all segments sort
+    in one ``np.sort`` of words packing ``(segment, rank, row)``.  Tied rows
+    come out by row id, not in argsort's order, which changes nothing: they
+    share one feature value and no boundary falls between them.
+
+    Moving a row with ``m`` same-class rows ahead of it (``t`` in the node)
+    to the left adds ``2m + 1`` to the left sum of squared class counts and
+    takes ``2(t - m) - 1`` from the right one, so each boundary's proxy
     ``(S_L/n_L + S_R/n_R)/s``, the Gini decrease plus a per-node constant,
     costs O(1).  Boundaries within 1e-9 of their node's best proxy are
     re-scored with the exact k-wide float expression, which alone decides
     ties (lower feature, then lower threshold) and the ``mpi`` cut.
     """
+    n, b = X.shape[0], X.shape[0].bit_length()
     size = np.array([rows.size for rows, *_ in jobs])
     seg_job = np.repeat(np.arange(len(jobs)), [cand.size for _, cand, _ in jobs])
     seg_feat = np.concatenate([cand for _, cand, _ in jobs])
@@ -155,46 +161,51 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     seg_start = np.cumsum(seg_len) - seg_len
     seg = np.repeat(np.arange(seg_job.size), seg_len)
     at = np.arange(seg.size)
+    pos = at - np.repeat(seg_start, seg_len)
     counts = np.array([c for *_, c in jobs])
-    row = np.concatenate([np.tile(rows, cand.size) for rows, cand, _ in jobs])
-    key = seg * X.shape[0] + ranks[row, seg_feat[seg]]
-    order = np.argsort(key)
-    row, key = row[order], key[order]
+    row = np.concatenate([rows for rows, *_ in jobs])[
+        np.repeat((np.cumsum(size) - size)[seg_job], seg_len) + pos]
+    # One sort of the words (seg * n + rank) << b | row, which need
+    # bits(segments) + 2 * bits(n) <= 63: true below 2**24 rows at this budget.
+    if seg_job.size.bit_length() + 2 * b > 63:
+        raise ValueError(f"{seg_job.size} segments of {n} rows overflow the packed sort")
+    key = seg * n + ranks.ravel()[np.repeat(seg_feat * n, seg_len) + row]
+    packed = np.sort(key << b | row)
+    row, key = packed & ((1 << b) - 1), packed >> b
 
     # Class runs within each segment: a stable sort on the label alone keeps
     # the segment order, and a small label type lets numpy radix-sort it.
+    # gain is 2m + 1 and loss 2m + 1 - 2t.  A segment's sums are T2 and -T2
+    # (T2 = sum of t^2), so its first row takes the previous T2 off gain and
+    # adds its own to loss, and the running sums restart as S_L and S_R.
     label = y0[row]
     by_class = np.argsort(label.astype(np.min_scalar_type(k - 1)), kind="stable")
     runs = (label * seg_job.size + seg)[by_class]
     first = np.flatnonzero(np.append(True, runs[1:] != runs[:-1]))
     run = np.diff(first, append=seg.size)
-    gain, total = np.empty_like(at), np.empty_like(at)  # 2m + 1 and t
+    gain = np.empty_like(at)
     gain[by_class] = 2 * (at - np.repeat(first, run)) + 1
-    total[by_class] = np.repeat(run, run)
+    loss = gain - 2 * counts.ravel()[np.repeat(seg_job * k, seg_len) + label]
+    t2 = np.sum(counts * counts, axis=1)[seg_job]
+    gain[seg_start[1:]] -= t2[:-1]
+    loss[seg_start] += t2
 
-    n_left = at - seg_start[seg] + 1
-    n_right = seg_len[seg] - n_left
+    n_left, length = pos + 1, np.repeat(seg_len, seg_len)
+    n_right = length - n_left
     ok = np.flatnonzero((n_left >= msl) & (n_right >= max(msl, 1))
                         & np.append(key[1:] != key[:-1], False))
-
-    def seg_cumsum(v):
-        c = np.cumsum(v)
-        return c[ok] - (c[seg_start] - v[seg_start])[seg[ok]]
-
-    job = seg_job[seg[ok]]
-    s_left = seg_cumsum(gain)
-    s_right = np.sum(counts * counts, axis=1)[job] - 2 * seg_cumsum(total) + s_left
-    proxy = (s_left / n_left[ok] + s_right / n_right[ok]) / size[job]
-    head = np.flatnonzero(np.diff(job, prepend=-1))
-    best = np.repeat(np.maximum.reduceat(proxy, head), np.diff(head, append=ok.size))
+    proxy = (np.cumsum(gain)[ok] / n_left[ok] + np.cumsum(loss)[ok] / n_right[ok]) / length[ok]
+    head = np.searchsorted(ok, seg_start[np.searchsorted(seg_job, np.arange(len(jobs)))])
+    n_ok = np.diff(head, append=ok.size)  # head: each job's first boundary in ok
+    best = np.repeat(np.maximum.reduceat(proxy, head[n_ok > 0]), n_ok[n_ok > 0])
     near = ok[proxy >= best - 1e-9]  # the proxy's float error is about 1e-15
 
-    # left class counts at the near boundaries: binary search in the runs
-    runs = runs * seg.size + by_class
-    lo = (np.arange(k) * seg_job.size + seg[near, None]) * seg.size
-    left = np.searchsorted(runs, lo + near[:, None], side="right") - np.searchsorted(runs, lo)
-    job = seg_job[seg[near]]
-    s, nl, nr = size[job], n_left[near], n_right[near]
+    # left class counts at the near boundaries: one bincount over their labels
+    job, nl, nr = seg_job[seg[near]], n_left[near], n_right[near]
+    left = np.bincount(np.repeat(np.arange(near.size) * k, nl) + label[
+        np.arange(nl.sum()) + np.repeat(near + 1 - np.cumsum(nl), nl)],
+        minlength=near.size * k).reshape(-1, k)
+    s = size[job]
     p, pl, pr = counts / size[:, None], left / nl[:, None], (counts[job] - left) / nr[:, None]
     decrease = ((1.0 - np.sum(p * p, axis=1))[job]
                 - (nl / s) * (1.0 - np.sum(pl * pl, axis=1))
@@ -237,13 +248,17 @@ def best_split(dataset: Dataset, sample_indices, candidate_features,
     return None if split is None else (int(cand[split[0]]), *split[1:])
 
 
+def _draw_bootstrap(rng, n_samples: int, partial_sampling: float) -> np.ndarray:
+    """In-bag sample indices: the first draw of a tree's stream ``rng``."""
+    return rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
+
+
 def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> np.ndarray:
-    """In-bag sample indices of one tree; first draw of the tree's stream."""
-    n_boot = int(params.partial_sampling * n_samples)
-    return stream(params.seed, tree_index).integers(0, n_samples, size=n_boot)
+    """In-bag sample indices of one tree."""
+    return _draw_bootstrap(stream(params.seed, tree_index), n_samples, params.partial_sampling)
 
 
-def _grow_tree(X, y0, k, n_boot, n_subfeatures, msl, rng):
+def _grow_tree(X, y0, k, partial_sampling, n_subfeatures, msl, rng):
     """Grow one tree as a generator: it yields ``(rows, candidates, class
     counts)`` for each splittable node, takes that node's best split (or
     None) back, and returns the finished :class:`Tree`."""
@@ -252,7 +267,7 @@ def _grow_tree(X, y0, k, n_boot, n_subfeatures, msl, rng):
     # that order is also preorder, so a node's id is the count popped before
     # it; only a right child's id is unknown until it is popped.
     feature, threshold, right, counts = [], [], [], []
-    stack = [(rng.integers(0, X.shape[0], size=n_boot), -1)]  # (rows, parent if right child)
+    stack = [(_draw_bootstrap(rng, len(X), partial_sampling), -1)]  # (rows, parent if right child)
     n_features = X.shape[1]
     while stack:
         idx, parent = stack.pop()
@@ -302,10 +317,10 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     X = dataset.features
     y0 = dataset.labels - 1
     k = dataset.n_classes
-    n_boot = int(params.partial_sampling * dataset.n_samples)
     ranks = _dense_ranks(X)
-    growers = [_grow_tree(X, y0, k, n_boot, params.n_subfeatures, params.min_samples_leaf,
-                          stream(params.seed, t)) for t in range(params.n_trees)]
+    growers = [_grow_tree(X, y0, k, params.partial_sampling, params.n_subfeatures,
+                          params.min_samples_leaf, stream(params.seed, t))
+               for t in range(params.n_trees)]
     trees, jobs = [None] * params.n_trees, {}
 
     def advance(t, split):

@@ -57,6 +57,16 @@ class TestBestSplit:
         want = oracle_best_split(X, y, range(X.shape[1]), msl, mpi)
         assert got == want
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_repeated_sample_indices_match_bruteforce(self, seed):
+        # a bootstrap repeats rows; the scan sorts tied copies by row id,
+        # which must change no count and no threshold
+        rng = np.random.default_rng(3000 + seed)
+        X, y, msl, mpi = random_split_instance(rng)
+        idx = rng.integers(0, X.shape[0], size=X.shape[0] + int(rng.integers(0, 8)))
+        got = best_split(make_dataset(X, y), idx, range(X.shape[1]), msl, mpi)
+        assert got == oracle_best_split(X[idx], y[idx], range(X.shape[1]), msl, mpi)
+
     def test_respects_min_samples_leaf(self):
         ds = make_dataset([[1.0], [2.0], [3.0]], [1, 1, 2])
         # every cut leaves a 1-sample child; msl=2 forbids them all
@@ -99,6 +109,33 @@ class TestBatchedScan:
             assert got[i] == oracle_best_split(cx, cy, range(cx.shape[1]), msl, mpi), i
         assert got[len(cases) - 2] == (0, 1.5, 0.0)
         assert got[len(cases) - 1][:2] == (0, 2.5)
+
+    def test_pass_without_admissible_boundary_returns_none_per_job(self):
+        X = np.array([[1.0, 5.0], [1.0, 5.0], [1.0, 5.0], [2.0, 6.0], [2.0, 7.0], [2.0, 8.0]])
+        y0 = np.array([0, 1, 0, 1, 0, 1])
+        ranks = _dense_ranks(X)
+
+        def job(rows, cand):
+            rows = np.array(rows)
+            return rows, np.array(cand), np.bincount(y0[rows], minlength=2)
+
+        # every candidate column is constant within its node
+        jobs = [job([0, 1, 2], [0, 1]), job([3, 4, 5, 3], [0]), job([0, 2, 1], [1])]
+        assert _scan_pass(X, ranks, y0, jobs, 2, 1, 0.0) == [None] * 3
+        # min_samples_leaf is more than half of every node
+        jobs = [job([0, 3, 4, 1], [0, 1]), job([3, 4, 5, 0, 1], [1])]
+        assert _scan_pass(X, ranks, y0, jobs, 2, 3, 0.0) == [None] * 2
+
+    def test_pass_too_wide_for_packed_sort_words_rejected(self):
+        # 2**12 segments over 2**26 rows need 13 + 2 * 27 > 63 bits;
+        # broadcast views keep the table from being allocated
+        n, f = 1 << 26, 1 << 12
+        X = np.broadcast_to(np.zeros(1), (n, f))
+        ranks = np.broadcast_to(np.zeros(1, dtype=np.uint32), (f, n))
+        y0 = np.broadcast_to(np.zeros(1, dtype=np.int64), (n,))
+        jobs = [(np.array([0, 1]), np.arange(f), np.array([1, 1]))]
+        with pytest.raises(ValueError, match="overflow"):
+            _scan_pass(X, ranks, y0, jobs, 2, 1, 0.0)
 
     def test_pass_budget_changes_no_result(self, monkeypatch):
         ds = _random_training_set(21, n=60, f=8)
