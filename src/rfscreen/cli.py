@@ -60,7 +60,6 @@ _GENERATE_KEYS = {
     "min-usefulness": (float, _fraction, 0.5),
     "max-usefulness": (float, _fraction, 1.0),
     "location-sharing-extent": (int, _nonnegative, 0),
-    "location-ordering-extent": (int, _nonnegative, 0),
     "n-features-out": (int, _positive, 200),
     "blending-mode": (str, lambda v: v in ("linear", "logarithmic"), "logarithmic"),
     "min-count": (int, _positive, 2),
@@ -157,9 +156,13 @@ def _load_config(args, schema, context) -> dict:
 
 def _load_dataset(args) -> Dataset:
     try:
-        return load_csv(args.data, label_column=args.label_column)
+        dataset = load_csv(args.data, label_column=args.label_column)
     except (OSError, CsvFormatError) as exc:
         raise ValidationError(str(exc)) from None
+    if dataset.n_classes < 2:
+        what = "screening" if args.command == "screen" else "evaluation"
+        raise ValidationError(f"dataset has a single class; {what} is undefined")
+    return dataset
 
 
 def _read_result(path) -> dict:
@@ -167,7 +170,7 @@ def _read_result(path) -> dict:
         doc = read_json(path)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read result file: {exc}") from None
-    if doc.get("kind") != "screening_result":
+    if not isinstance(doc, dict) or doc.get("kind") != "screening_result":
         raise ValidationError("result file is not a screening result document")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -184,8 +187,10 @@ def _write_pair(doc: dict, csv: str, out: str) -> Path:
     return base
 
 
-def _rfms_spec(cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
-    """The rfms spec a screen or sweep config names for an ``n_features`` table."""
+def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
+    """The ``name`` spec a screen or sweep config names for an ``n_features`` table."""
+    if name != "rfms":
+        return ScreenerSpec(name, {"n_out": n_out, "seed": cfg["random-state"]})
     step = cfg["step-size"]
     if step is None:
         raise ValidationError("config key 'step-size' is required for rfms")
@@ -204,16 +209,10 @@ def _rfms_spec(cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
 
 def _classifier_grid(cfg: dict, which: str) -> list[ClassifierSpec]:
     knn = [ClassifierSpec("knn", {"k": k}) for k in cfg["knn-k"]]
-    rf_params = {
-        "n_trees": cfg["rf-n-trees"],
-        "min_samples_leaf": cfg["rf-min-samples-leaf"],
-        "min_purity_increase": cfg["rf-min-purity-increase"],
-        "partial_sampling": cfg["rf-partial-sampling"],
-        "seed": cfg["random-state"],
-    }
-    if cfg["rf-n-subfeatures"] > 0:
-        rf_params["n_subfeatures"] = cfg["rf-n-subfeatures"]
-    rf = [ClassifierSpec("rf", rf_params)]
+    rf_params = {key[3:].replace("-", "_"): cfg[key] for key in cfg if key.startswith("rf-")}
+    if rf_params["n_subfeatures"] == 0:  # 0 = auto
+        del rf_params["n_subfeatures"]
+    rf = [ClassifierSpec("rf", {**rf_params, "seed": cfg["random-state"]})]
     majority = [ClassifierSpec("majority")]
     grids = {"knn": knn, "rf": rf, "majority": majority,
              "all": knn + rf + majority}
@@ -239,28 +238,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _screen_baseline(dataset: Dataset, screener: str, cfg: dict) -> dict:
+def _screen_baseline(dataset: Dataset, spec: ScreenerSpec, cfg: dict) -> dict:
     k_out = cfg["reduced-size"]
     seed = cfg["random-state"]
-    if screener == "pca" and cfg["n-canaries"] > 0:
+    if spec.name == "pca" and cfg["n-canaries"] > 0:
         raise ValidationError("canaries are only meaningful for subset screeners; "
                               "set n-canaries = 0 for pca")
     augmented, canary_ids = augment_with_canaries(dataset, cfg["n-canaries"], seed)
-    if screener == "pca":
+    if spec.name == "pca":
         limit, where = min(dataset.n_samples, dataset.n_features), " for pca"
     else:
         limit, where = augmented.n_features, ""
     if not 1 <= k_out <= limit:
         raise ValidationError(f"reduced-size must be in 1..{limit}{where}")
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    fitted = fit_screener(ScreenerSpec(screener, {"n_out": k_out, "seed": seed}), augmented)
+    fitted = fit_screener(spec, augmented)
     timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
     meta = {"n_samples": dataset.n_samples, "n_features": dataset.n_features,
             "n_classes": dataset.n_classes}
     if fitted.transforming:
         return pca_document({"name": "pca", "n_out": k_out}, fitted.pca, meta, **timing)
-    screener_block = {"name": screener, "n_out": k_out, "n_canaries": cfg["n-canaries"]}
-    if screener == "random":
+    screener_block = {"name": spec.name, "n_out": k_out, "n_canaries": cfg["n-canaries"]}
+    if spec.name == "random":
         screener_block["random_state"] = seed
     return envelope(screener_block, meta, fitted.selected.indices, augmented.feature_names,
                     canary_ids=canary_ids, **timing)
@@ -269,17 +268,15 @@ def _screen_baseline(dataset: Dataset, screener: str, cfg: dict) -> dict:
 def cmd_screen(args) -> int:
     cfg = _load_config(args, _SCREEN_KEYS, "screen")
     dataset = _load_dataset(args)
-    if dataset.n_classes < 2:
-        raise ValidationError("dataset has a single class; screening is undefined")
-    if args.screener == "rfms":
-        spec = _rfms_spec(cfg, cfg["reduced-size"], dataset.n_features)
+    spec = _screener_spec(args.screener, cfg, cfg["reduced-size"], dataset.n_features)
+    if spec.name == "rfms":
         try:
             config = screening_config(spec, dataset.n_features)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         doc = screening_document(screen(dataset, config))
     else:
-        doc = _screen_baseline(dataset, args.screener, cfg)
+        doc = _screen_baseline(dataset, spec, cfg)
     write_json(doc, args.out)
     leaks = doc.get("canaries", {}).get("leak_count", 0)
     print(f"screener={args.screener} selected={len(doc['selected'])} "
@@ -326,10 +323,9 @@ def cmd_evaluate(args) -> int:
     grid = _classifier_grid(cfg, args.classifier)
     folds = cfg["folds"]
     seed = cfg["random-state"]
-
     if args.leak_safe:
-        spec = _screener_spec_from_document(doc)
-        report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
+        report = grid_search(dataset, [_screener_spec_from_document(doc)], grid, folds=folds,
+                             seed=seed)
     else:
         reduced = _selection_from_document(doc, dataset)
         report = screen_once_report(
@@ -349,27 +345,17 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args, _SWEEP_KEYS, "sweep")
     dataset = _load_dataset(args)
-    if dataset.n_classes < 2:
-        raise ValidationError("dataset has a single class; evaluation is undefined")
     counts = cfg["feature-counts"]
     if any(c > dataset.n_features for c in counts):
         raise ValidationError(f"feature-counts must be at most {dataset.n_features}")
-    seed = cfg["random-state"]
-    if args.screener == "rfms":
-        spec = _rfms_spec(cfg, max(counts), dataset.n_features)
-        if any(c > cfg["step-size"] for c in counts):
-            raise ValidationError("feature-counts may not exceed step-size for rfms")
-    elif args.screener == "pca":
-        if any(c > min(dataset.n_samples, dataset.n_features) for c in counts):
-            raise ValidationError("feature-counts exceed the PCA component limit")
-        spec = ScreenerSpec("pca")
-    elif args.screener == "random":
-        spec = ScreenerSpec("random", {"seed": seed})
-    else:
-        spec = ScreenerSpec("kbest")
-    grid = _classifier_grid(cfg, args.classifier)
-    rows = convergence_sweep(dataset, spec, grid, counts, folds=cfg["folds"],
-                             seed=seed, leak_safe=args.leak_safe)
+    spec = _screener_spec(args.screener, cfg, max(counts), dataset.n_features)
+    if spec.name == "rfms" and any(c > cfg["step-size"] for c in counts):
+        raise ValidationError("feature-counts may not exceed step-size for rfms")
+    if spec.name == "pca" and max(counts) > min(dataset.n_samples, dataset.n_features):
+        raise ValidationError("feature-counts exceed the PCA component limit")
+    rows = convergence_sweep(dataset, spec, _classifier_grid(cfg, args.classifier), counts,
+                             folds=cfg["folds"], seed=cfg["random-state"],
+                             leak_safe=args.leak_safe)
     base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), sweep_csv(rows),
                        args.out)
     for row in rows:
@@ -402,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, out=False, result=False):
+    def common(p, data=False, out=False, result=False, screener=False, classifier=False):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override random-state")
         p.add_argument("--threads", type=int,
@@ -414,34 +400,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output path")
         if result:
             p.add_argument("--result", required=True, help="screening result JSON")
+        if screener:
+            p.add_argument("--screener", choices=("rfms", "kbest", "pca", "random"),
+                           default="rfms")
+        if classifier:
+            p.add_argument("--classifier", choices=("knn", "rf", "majority", "all"),
+                           default="knn")
+            p.add_argument("--folds", type=int, help="override folds")
+            p.add_argument("--leak-safe", action="store_true",
+                           help="re-screen inside each fold instead of reusing the stored "
+                                "selection")
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     common(p, out=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("screen", help="run a feature screener")
-    common(p, data=True, out=True)
-    p.add_argument("--screener", choices=("rfms", "kbest", "pca", "random"),
-                   default="rfms")
+    common(p, data=True, out=True, screener=True)
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("evaluate", help="cross-validate classifiers on a screened set")
-    common(p, data=True, out=True, result=True)
-    p.add_argument("--classifier", choices=("knn", "rf", "majority", "all"),
-                   default="knn")
-    p.add_argument("--folds", type=int, help="override folds")
-    p.add_argument("--leak-safe", action="store_true",
-                   help="re-screen inside each fold instead of reusing the stored selection")
+    common(p, data=True, out=True, result=True, classifier=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="accuracy as a function of screened feature count")
-    common(p, data=True, out=True)
-    p.add_argument("--screener", choices=("rfms", "kbest", "pca", "random"),
-                   default="rfms")
-    p.add_argument("--classifier", choices=("knn", "rf", "majority", "all"),
-                   default="knn")
-    p.add_argument("--folds", type=int, help="override folds")
-    p.add_argument("--leak-safe", action="store_true")
+    common(p, data=True, out=True, screener=True, classifier=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="canary audit of a screening result")

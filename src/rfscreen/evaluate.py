@@ -230,6 +230,13 @@ class EvaluationReport:
         return self.entries[self.best_index]
 
 
+def _timed_fit(screener: ScreenerSpec, train: Dataset) -> tuple[FittedScreener, float]:
+    """``fit_screener`` and its CPU seconds; the identity screener costs exactly 0."""
+    t0 = time.process_time()
+    fitted = fit_screener(screener, train)
+    return fitted, 0.0 if screener.name == "identity" else time.process_time() - t0
+
+
 def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
     """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows."""
     fits = []
@@ -239,9 +246,7 @@ def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
             raise ValueError("a training fold holds a single class; cross-validation needs 2")
         train = Dataset(features=dataset.features[train_rows], labels=labels,
                         feature_names=dataset.feature_names)
-        t0 = time.process_time()
-        fitted = fit_screener(screener, train)
-        fits.append((fitted, 0.0 if screener.name == "identity" else time.process_time() - t0))
+        fits.append(_timed_fit(screener, train))
     return fits
 
 
@@ -294,16 +299,8 @@ def reduce_full(dataset: Dataset, screener: ScreenerSpec):
     The returned dataset is the reduced view of all rows; screening CPU
     seconds are measured here so downstream cells can report them.
     """
-    t0 = time.process_time()
-    fitted = fit_screener(screener, dataset)
-    cpu = 0.0 if screener.name == "identity" else time.process_time() - t0
+    fitted, cpu = _timed_fit(screener, dataset)
     return fitted.view(dataset), fitted, cpu
-
-
-def _report(entries) -> EvaluationReport:
-    # Highest mean accuracy; max() keeps the earliest of tied cells.
-    best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)
-    return EvaluationReport(entries=tuple(entries), best_index=best)
 
 
 def grid_search(dataset: Dataset, screener_grid, classifier_grid,
@@ -326,25 +323,23 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
         fits = _fit_folds(dataset, s_spec, folds_idx)
         entries += [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits)
                     for c_spec in classifier_grid]
-    return _report(entries)
+    # Highest mean accuracy; max() keeps the earliest of tied cells.
+    best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)
+    return EvaluationReport(entries=tuple(entries), best_index=best)
 
 
 def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: float,
                        classifier_grid, folds: int = 5, seed: int = 20230125) -> EvaluationReport:
     """Screen-once protocol: cross-validate classifiers on an already-reduced view.
 
-    ``reduced`` is the whole table after one screen; every cell is reported
-    under ``screener_id`` with that screen's ``screening_cpu_s``.  The best
-    cell follows :func:`grid_search`'s rule, and the cells share one fold split.
+    ``reduced`` is the whole table after one screen: this is
+    :func:`grid_search` with the identity screener, its cells reported under
+    ``screener_id`` with that screen's ``screening_cpu_s``.
     """
-    identity = ScreenerSpec("identity")
-    folds_idx = stratified_kfold(reduced, folds, seed)
-    fits = _fit_folds(reduced, identity, folds_idx)
-    return _report([
-        replace(cross_validate(reduced, identity, c_spec, folds_idx=folds_idx, fits=fits),
-                screener_id=screener_id, screening_cpu_s=screening_cpu_s)
-        for c_spec in classifier_grid
-    ])
+    report = grid_search(reduced, [ScreenerSpec("identity")], classifier_grid, folds, seed)
+    return replace(report, entries=tuple(
+        replace(e, screener_id=screener_id, screening_cpu_s=screening_cpu_s)
+        for e in report.entries))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ is byte-stable for identical inputs (keys are sorted, floats use repr).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -72,19 +73,11 @@ def envelope(screener: dict, dataset_meta: dict, selected_ids, names, wall_s: fl
 def screening_document(result: ScreeningResult) -> dict:
     """Full multiround screening result, rounds and permutation included."""
     cfg = result.config
+    forest = dataclasses.asdict(cfg.forest)
+    del forest["seed"]  # each round derives its forest seed from random_state
     return envelope(
-        {
-            "name": "rfms",
-            "step_size": cfg.step_size,
-            "reduced_size": cfg.reduced_size,
-            "n_trees": cfg.forest.n_trees,
-            "n_subfeatures": cfg.forest.n_subfeatures,
-            "min_samples_leaf": cfg.forest.min_samples_leaf,
-            "min_purity_increase": cfg.forest.min_purity_increase,
-            "partial_sampling": cfg.forest.partial_sampling,
-            "n_canaries": cfg.n_canaries,
-            "random_state": cfg.seed,
-        },
+        {"name": "rfms", "step_size": cfg.step_size, "reduced_size": cfg.reduced_size,
+         **forest, "n_canaries": cfg.n_canaries, "random_state": cfg.seed},
         {
             "n_samples": result.n_samples,
             "n_features": result.n_features_input,

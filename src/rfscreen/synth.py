@@ -30,9 +30,7 @@ class GeneratorConfig:
     within-class std = 1 - u/2, a monotone mapping that keeps the total
     variance of a hidden feature near 1.  ``location_sharing_extent > 0``
     draws the per-class means of each true feature from a finite pool of
-    that many values, so several classes share locations;
-    ``location_ordering_extent`` is accepted for config compatibility and
-    has no effect.
+    that many values, so several classes share locations.
     """
 
     n_classes: int
@@ -46,7 +44,6 @@ class GeneratorConfig:
     max_count: int = 4
     blending_mode: str = "logarithmic"
     location_sharing_extent: int = 0
-    location_ordering_extent: int = 0
     seed: int = 137
 
     def __post_init__(self):
@@ -66,8 +63,8 @@ class GeneratorConfig:
             raise ValueError("blend counts must satisfy 1 <= min <= max <= n_hidden")
         if self.blending_mode not in ("linear", "logarithmic"):
             raise ValueError("blending_mode must be 'linear' or 'logarithmic'")
-        if self.location_sharing_extent < 0 or self.location_ordering_extent < 0:
-            raise ValueError("location extents must be nonnegative")
+        if self.location_sharing_extent < 0:
+            raise ValueError("location_sharing_extent must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,15 @@ class TestGenerate:
         assert "n-classez" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_removed_location_ordering_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("location-ordering-extent = 7\n", encoding="utf-8")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown generate config key(s): location-ordering-extent" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         again = tmp_path / "again.csv"
         assert main(["generate", "--config", str(workspace / "gen.cfg"),
@@ -248,6 +257,16 @@ class TestEvaluate:
         report = read_json(workspace / "pcarep.json")
         assert report["entries"][0]["n_features_out"] == 3
 
+    @pytest.mark.parametrize("top_level", [[], "x"])
+    def test_non_object_result_rejected(self, workspace, capsys, top_level):
+        bogus = workspace / "bogus.json"
+        bogus.write_text(json.dumps(top_level), encoding="utf-8")
+        code = main(["evaluate", "--data", str(workspace / "data.csv"),
+                     "--result", str(bogus), "--out", str(workspace / "r")])
+        assert code == 2
+        assert "not a screening result document" in capsys.readouterr().err
+        assert not (workspace / "r.json").exists()
+
 
 class TestSweep:
     def test_row_per_count(self, workspace, tmp_path):
@@ -319,6 +338,13 @@ class TestAudit:
         main(["screen", "--data", str(workspace / "data.csv"), "--config", str(cfg),
               "--out", str(out)])
         assert main(["audit", "--result", str(out)]) == 2
+
+    @pytest.mark.parametrize("top_level", [[], "x"])
+    def test_non_object_result_rejected(self, tmp_path, capsys, top_level):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps(top_level), encoding="utf-8")
+        assert main(["audit", "--result", str(bogus)]) == 2
+        assert "not a screening result document" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["audit", "--result", str(tmp_path / "nope.json")]) == 2

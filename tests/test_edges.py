@@ -168,6 +168,21 @@ class TestCliEdges:
         assert code == 2
         assert "single class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("protocol", [[], ["--leak-safe"]])
+    def test_single_class_evaluate_rejected(self, tmp_path, capsys, protocol):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("reduced-size = 1\n", encoding="utf-8")
+        result = tmp_path / "o.json"
+        assert main(["screen", "--data", str(self._dataset(tmp_path, ["a", "b"] * 4)),
+                     "--config", str(cfg), "--out", str(result), "--screener", "kbest"]) == 0
+        capsys.readouterr()
+        data = self._dataset(tmp_path, ["a"] * 8)
+        code = main(["evaluate", "--data", str(data), "--result", str(result),
+                     "--out", str(tmp_path / "r"), "--folds", "2", *protocol])
+        assert code == 2
+        assert "single class" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
     def test_threads_must_be_positive(self, tmp_path, capsys):
         data = self._dataset(tmp_path, ["a", "b"] * 4)
         cfg = tmp_path / "s.cfg"
