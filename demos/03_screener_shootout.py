@@ -5,8 +5,8 @@ then scored with 5-fold cross-validation on the reduced view.  The random
 subset is the control: any screener worth running must clear it.
 """
 
-from rfscreen import (ClassifierSpec, ScreenerSpec, GeneratorConfig, cross_validate,
-                      generate, reduce_full)
+from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
+                      ScreeningConfig, cross_validate, generate, reduce_full)
 
 dataset, _ = generate(GeneratorConfig(
     n_classes=10, n_samples_per_class=12,
@@ -18,8 +18,9 @@ dataset, _ = generate(GeneratorConfig(
 
 WIDTH = 12
 screeners = [
-    ScreenerSpec("rfms", {"n_out": WIDTH, "step_size": 60, "n_trees": 60,
-                          "n_subfeatures": 25, "min_samples_leaf": 6, "seed": 7}),
+    ScreenerSpec("rfms", config=ScreeningConfig(
+        step_size=60, reduced_size=WIDTH,
+        forest=ForestParams(n_trees=60, n_subfeatures=25, min_samples_leaf=6), seed=7)),
     ScreenerSpec("kbest", {"n_out": WIDTH}),
     ScreenerSpec("pca", {"n_out": WIDTH}),
     ScreenerSpec("random", {"n_out": WIDTH, "seed": 7}),

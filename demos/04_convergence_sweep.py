@@ -6,7 +6,8 @@ its accuracy down to small widths, while univariate filtering degrades
 faster once the width stops covering the informative sources.
 """
 
-from rfscreen import ClassifierSpec, GeneratorConfig, ScreenerSpec, convergence_sweep, generate
+from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
+                      ScreeningConfig, convergence_sweep, generate)
 
 dataset, _ = generate(GeneratorConfig(
     n_classes=10, n_samples_per_class=12,
@@ -19,8 +20,10 @@ dataset, _ = generate(GeneratorConfig(
 counts = [4, 8, 16, 32]
 grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)]
 
-multiround = ScreenerSpec("rfms", {"step_size": 60, "n_trees": 60, "n_subfeatures": 25,
-                                   "min_samples_leaf": 6, "seed": 7})
+# the sweep replaces reduced_size with each count in turn
+multiround = ScreenerSpec("rfms", config=ScreeningConfig(
+    step_size=60, reduced_size=max(counts),
+    forest=ForestParams(n_trees=60, n_subfeatures=25, min_samples_leaf=6), seed=7))
 
 print("best 5-fold kNN accuracy by screened width\n")
 print(f"{'width':>5} {'multiround':>11} {'kbest':>8}")

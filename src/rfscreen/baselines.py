@@ -124,7 +124,7 @@ def pca_transform(model: PcaModel, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected a matrix with {model.n_features} columns")
-    return (X - model.mean) @ model.components
+    return np.subtract(X, model.mean, order="F") @ model.components  # same bits in any order
 
 
 def random_subset(n_features: int, k_out: int, seed: int) -> FeatureSubset:

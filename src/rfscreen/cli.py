@@ -17,12 +17,14 @@ import argparse
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .data import CsvFormatError, Dataset, load_csv, write_csv
 from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
-                       fit_screener, grid_search, screen_once_report, screening_config)
-from .rfms import augment_with_canaries, screen
+                       fit_screener, grid_search, screen_once_report)
+from .forest import ForestParams
+from .rfms import ScreeningConfig, augment_with_canaries, screen
 from .serialize import (SCHEMA_VERSION, envelope, pca_document, pca_model_from_document,
                         read_json, report_csv, report_document, screening_document,
                         sweep_csv, sweep_document, write_json)
@@ -188,7 +190,10 @@ def _write_pair(doc: dict, csv: str, out: str) -> Path:
 
 
 def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
-    """The ``name`` spec a screen or sweep config names for an ``n_features`` table."""
+    """The ``name`` spec ``n_out`` wide that a screen config names for an ``n_features`` table.
+
+    The one place where config keys become a ``ScreeningConfig``.
+    """
     if name != "rfms":
         return ScreenerSpec(name, {"n_out": n_out, "seed": cfg["random-state"]})
     step = cfg["step-size"]
@@ -197,17 +202,29 @@ def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> Screene
     n_aug = n_features + cfg["n-canaries"]
     if step > n_aug:
         raise ValidationError(f"step-size={step} exceeds the augmented feature count {n_aug}")
-    params = {key.replace("-", "_"): cfg[key] for key in (
-        "step-size", "n-trees", "min-samples-leaf", "min-purity-increase",
-        "partial-sampling", "n-canaries")}
-    pool = step + n_out
-    explicit = cfg["n-subfeatures"]  # 0 = ceil(sqrt) of the round's pool
-    params["n_subfeatures"] = (min(explicit, pool) if explicit > 0
-                               else max(1, math.ceil(math.sqrt(pool))))
-    return ScreenerSpec("rfms", {**params, "n_out": n_out, "seed": cfg["random-state"]})
+    pool = step + n_out  # n-subfeatures = 0 takes ceil(sqrt) of a round's pool
+    explicit = cfg["n-subfeatures"]
+    forest = {key.replace("-", "_"): cfg[key] for key in (
+        "n-trees", "min-samples-leaf", "min-purity-increase", "partial-sampling")}
+    forest["n_subfeatures"] = min(explicit, pool) if explicit else math.ceil(math.sqrt(pool))
+    try:
+        config = ScreeningConfig(step, n_out, ForestParams(**forest),
+                                 n_canaries=cfg["n-canaries"], seed=cfg["random-state"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return ScreenerSpec("rfms", config=config)
 
 
-def _classifier_grid(cfg: dict, which: str) -> list[ClassifierSpec]:
+def _classifier_grid(cfg: dict, which: str, dataset: Dataset) -> list[ClassifierSpec]:
+    """The ``which`` classifier specs of an evaluate or sweep config, checked before work.
+
+    ``knn-k`` may not exceed fold 0's training rows, the fewest: ``stratified_kfold``
+    gives fold 0 the ceiling of every class and rejects a class under ``folds`` rows."""
+    folds, sizes = cfg["folds"], Counter(dataset.labels.tolist()).values()
+    smallest = dataset.n_samples - sum(-(-size // folds) for size in sizes)
+    if which in ("knn", "all") and min(sizes) >= folds and max(cfg["knn-k"]) > smallest:
+        raise ValidationError(
+            f"knn-k must be at most {smallest}, the smallest training fold at folds={folds}")
     knn = [ClassifierSpec("knn", {"k": k}) for k in cfg["knn-k"]]
     rf_params = {key[3:].replace("-", "_"): cfg[key] for key in cfg if key.startswith("rf-")}
     if rf_params["n_subfeatures"] == 0:  # 0 = auto
@@ -269,14 +286,8 @@ def cmd_screen(args) -> int:
     cfg = _load_config(args, _SCREEN_KEYS, "screen")
     dataset = _load_dataset(args)
     spec = _screener_spec(args.screener, cfg, cfg["reduced-size"], dataset.n_features)
-    if spec.name == "rfms":
-        try:
-            config = screening_config(spec, dataset.n_features)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        doc = screening_document(screen(dataset, config))
-    else:
-        doc = _screen_baseline(dataset, spec, cfg)
+    doc = (screening_document(screen(dataset, spec.config)) if spec.config
+           else _screen_baseline(dataset, spec, cfg))
     write_json(doc, args.out)
     leaks = doc.get("canaries", {}).get("leak_count", 0)
     print(f"screener={args.screener} selected={len(doc['selected'])} "
@@ -308,24 +319,27 @@ def _selection_from_document(doc: dict, dataset: Dataset):
     return dataset.select_features(columns)
 
 
-def _screener_spec_from_document(doc: dict) -> ScreenerSpec:
-    names = {"reduced_size": "n_out", "random_state": "seed"}
-    params = {names.get(key, key): value for key, value in doc["screener"].items()}
-    name = params.pop("name")
+def _screener_spec_from_document(doc: dict, n_features: int) -> ScreenerSpec:
+    """The spec a stored ``screener`` block names; its keys are screen keys, ``_`` for ``-``."""
+    raw = {key.replace("_", "-"): value for key, value in doc["screener"].items()}
+    name = raw.pop("name")
+    if "n-out" in raw:
+        raw["reduced-size"] = raw.pop("n-out")
     # canaries are a whole-table diagnostic, not a CV step
-    return ScreenerSpec(name, {**params, "n_canaries": 0})
+    cfg = _resolve_config({**raw, "n-canaries": 0}, _SCREEN_KEYS, "stored screener")
+    return _screener_spec(name, cfg, cfg["reduced-size"], n_features)
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
     dataset = _load_dataset(args)
     doc = _read_result(args.result)
-    grid = _classifier_grid(cfg, args.classifier)
+    grid = _classifier_grid(cfg, args.classifier, dataset)
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
-        report = grid_search(dataset, [_screener_spec_from_document(doc)], grid, folds=folds,
-                             seed=seed)
+        spec = _screener_spec_from_document(doc, dataset.n_features)
+        report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         reduced = _selection_from_document(doc, dataset)
         report = screen_once_report(
@@ -348,14 +362,15 @@ def cmd_sweep(args) -> int:
     counts = cfg["feature-counts"]
     if any(c > dataset.n_features for c in counts):
         raise ValidationError(f"feature-counts must be at most {dataset.n_features}")
-    spec = _screener_spec(args.screener, cfg, max(counts), dataset.n_features)
-    if spec.name == "rfms" and any(c > cfg["step-size"] for c in counts):
+    step = cfg["step-size"]
+    if args.screener == "rfms" and step is not None and max(counts) > step:
         raise ValidationError("feature-counts may not exceed step-size for rfms")
+    spec = _screener_spec(args.screener, cfg, max(counts), dataset.n_features)
     if spec.name == "pca" and max(counts) > min(dataset.n_samples, dataset.n_features):
         raise ValidationError("feature-counts exceed the PCA component limit")
-    rows = convergence_sweep(dataset, spec, _classifier_grid(cfg, args.classifier), counts,
-                             folds=cfg["folds"], seed=cfg["random-state"],
-                             leak_safe=args.leak_safe)
+    grid = _classifier_grid(cfg, args.classifier, dataset)
+    rows = convergence_sweep(dataset, spec, grid, counts, folds=cfg["folds"],
+                             seed=cfg["random-state"], leak_safe=args.leak_safe)
     base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), sweep_csv(rows),
                        args.out)
     for row in rows:

@@ -30,27 +30,34 @@ CLASSIFIER_NAMES = ("knn", "rf", "majority")
 
 @dataclass(frozen=True)
 class ScreenerSpec:
-    """Named screener family plus its parameters.
+    """Named screener family plus its knobs.
 
-    The output width lives under ``n_out`` for subset screeners and PCA
-    (for rfms it doubles as the carry width).  rfms additionally wants
-    ``step_size`` and forest knobs (``n_trees``, ``n_subfeatures``, ...).
+    An rfms spec holds exactly one ``ScreeningConfig`` in ``config`` and no
+    ``params``; its width is the config's ``reduced_size``.  The other
+    screeners keep their output width under ``params["n_out"]``, and random
+    also reads ``params["seed"]``.
     """
 
     name: str
     params: dict = field(default_factory=dict)
+    config: ScreeningConfig | None = None
 
     def __post_init__(self):
         if self.name not in SCREENER_NAMES:
             raise ValueError(f"unknown screener {self.name!r}")
+        if (self.name == "rfms") != (self.config is not None) or (self.config and self.params):
+            raise ValueError("an rfms spec holds one ScreeningConfig and nothing else")
 
     def with_n_out(self, n_out: int) -> "ScreenerSpec":
-        return ScreenerSpec(self.name, {**self.params, "n_out": n_out})
+        if self.config is not None:
+            return replace(self, config=replace(self.config, reduced_size=n_out))
+        return replace(self, params={**self.params, "n_out": n_out})
 
     def label(self) -> str:
         if self.name == "identity":
             return "identity"
-        return f"{self.name}({self.params.get('n_out', '?')})"
+        width = self.config.reduced_size if self.config else self.params.get("n_out", "?")
+        return f"{self.name}({width})"
 
 
 @dataclass(frozen=True)
@@ -96,49 +103,29 @@ class FittedScreener:
                        feature_names=tuple(f"pc{i + 1}" for i in range(self.n_out)))
 
 
-def screening_config(spec: ScreenerSpec, n_features: int) -> ScreeningConfig:
-    """The ``ScreeningConfig`` an rfms ``spec`` names, for a table of ``n_features``.
-
-    Without ``n_subfeatures`` the forest draws ``round(sqrt(n_features))``
-    candidates per node.  ``seed`` seeds the screen; each round derives its
-    own forest seed from it.
-    """
-    p = spec.params
-    return ScreeningConfig(
-        step_size=int(p["step_size"]),
-        reduced_size=int(p["n_out"]),
-        forest=ForestParams(
-            n_trees=int(p.get("n_trees", 100)),
-            n_subfeatures=int(p.get("n_subfeatures", max(1, round(n_features ** 0.5)))),
-            min_samples_leaf=int(p.get("min_samples_leaf", 1)),
-            min_purity_increase=float(p.get("min_purity_increase", 0.0)),
-            partial_sampling=float(p.get("partial_sampling", 0.7)),
-        ),
-        n_canaries=int(p.get("n_canaries", 0)),
-        seed=int(p.get("seed", 20230125)),
-    )
-
-
 def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
-    """Fit the screener named by ``spec`` on training data only."""
+    """Fit the screener named by ``spec`` on training data only.
+
+    rfms screens with the spec's ``ScreeningConfig`` unchanged and fails if a
+    canary survives."""
     p = spec.params
     if spec.name == "identity":
         return FittedScreener(selected=FeatureSubset(tuple(range(train.n_features))))
+    if spec.config is not None:
+        result = screen(train, spec.config)
+        if result.leak_count:
+            raise RuntimeError(
+                f"screen selected {result.leak_count} canary feature(s); "
+                "cannot reduce to original columns"
+            )
+        return FittedScreener(selected=result.selected)
     n_out = int(p["n_out"])
     if spec.name == "kbest":
         return FittedScreener(selected=kbest_fscore(train, n_out))
     if spec.name == "random":
         return FittedScreener(selected=random_subset(train.n_features, n_out,
                                                      int(p.get("seed", 20230125))))
-    if spec.name == "pca":
-        return FittedScreener(pca=pca_fit(train, n_out))
-    result = screen(train, screening_config(spec, train.n_features))
-    if result.leak_count:
-        raise RuntimeError(
-            f"screen selected {result.leak_count} canary feature(s); "
-            "cannot reduce to original columns"
-        )
-    return FittedScreener(selected=result.selected)
+    return FittedScreener(pca=pca_fit(train, n_out))
 
 
 def knn_predict(train: Dataset, query, k: int) -> int:
@@ -274,9 +261,9 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
         if fitted.pca is None:
             train_X, test_X = (dataset.features[np.ix_(rows, fitted.selected.indices)]
                                for rows in (train_rows, test_rows))
-        else:  # training rows column-major, as in the fold table: the projected bits are kept
-            train_X = pca_transform(fitted.pca, np.asfortranarray(dataset.features[train_rows]))
-            test_X = pca_transform(fitted.pca, dataset.features[test_rows])
+        else:
+            train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows])
+                               for rows in (train_rows, test_rows))
         t0 = time.process_time()
         clf = fit_classifier(classifier, train_X, dataset.labels[train_rows], dataset.n_classes)
         fitting_cpu += time.process_time() - t0
@@ -294,10 +281,10 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
 
 
 def reduce_full(dataset: Dataset, screener: ScreenerSpec):
-    """Screen-once protocol: fit on the whole table, return (view, entry_meta).
+    """Screen-once protocol: fit on the whole table; returns (view, fitted, cpu_s).
 
-    The returned dataset is the reduced view of all rows; screening CPU
-    seconds are measured here so downstream cells can report them.
+    The view is the reduced table of all rows; ``cpu_s`` is the screening
+    CPU time, measured here so downstream cells can report it.
     """
     fitted, cpu = _timed_fit(screener, dataset)
     return fitted.view(dataset), fitted, cpu

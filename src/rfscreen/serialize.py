@@ -125,16 +125,9 @@ def pca_model_from_document(doc: dict) -> PcaModel:
     )
 
 
-def _entry_block(entry: ReportEntry) -> dict:
-    return {
-        "screener": entry.screener_id,
-        "classifier": entry.classifier_id,
-        "n_features_out": entry.n_features_out,
-        "mean_accuracy": entry.mean_accuracy,
-        "fold_accuracies": list(entry.fold_accuracies),
-        "screening_cpu_s": entry.screening_cpu_s,
-        "fitting_cpu_s": entry.fitting_cpu_s,
-    }
+def _block(record: ReportEntry | SweepRow) -> dict:
+    """A report entry or sweep row as JSON: its fields, ``_id`` dropped from the names."""
+    return {key.removesuffix("_id"): value for key, value in dataclasses.asdict(record).items()}
 
 
 def report_document(report: EvaluationReport, folds: int) -> dict:
@@ -142,8 +135,8 @@ def report_document(report: EvaluationReport, folds: int) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "evaluation_report",
         "folds": folds,
-        "entries": [_entry_block(e) for e in report.entries],
-        "best": _entry_block(report.best),
+        "entries": [_block(e) for e in report.entries],
+        "best": _block(report.best),
     }
 
 
@@ -162,16 +155,7 @@ def sweep_document(rows: list[SweepRow], screener_label: str, folds: int) -> dic
         "kind": "convergence_sweep",
         "screener": screener_label,
         "folds": folds,
-        "rows": [
-            {
-                "n_features_out": r.n_features_out,
-                "best_accuracy": r.best_accuracy,
-                "best_classifier": r.best_classifier_id,
-                "screening_cpu_s": r.screening_cpu_s,
-                "fitting_cpu_s": r.fitting_cpu_s,
-            }
-            for r in rows
-        ],
+        "rows": [_block(r) for r in rows],
     }
 
 

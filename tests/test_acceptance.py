@@ -162,15 +162,8 @@ def test_criterion_5_robustness_trend(capsys, acc_data):
     passes = 0
     details = []
     for seed in EVAL_SEEDS:
-        spec = ScreenerSpec("rfms", {
-            "step_size": 100,
-            "n_trees": ACC_FOREST.n_trees,
-            "n_subfeatures": ACC_FOREST.n_subfeatures,
-            "min_samples_leaf": ACC_FOREST.min_samples_leaf,
-            "min_purity_increase": ACC_FOREST.min_purity_increase,
-            "partial_sampling": ACC_FOREST.partial_sampling,
-            "seed": seed,
-        })
+        spec = ScreenerSpec("rfms", config=ScreeningConfig(
+            step_size=100, reduced_size=max(counts), forest=ACC_FOREST, seed=seed))
         rows = convergence_sweep(dataset, spec, [KNN], counts, folds=5, seed=CV_SEED)
         accs = {r.n_features_out: r.best_accuracy for r in rows}
         held = accs[40] >= 0.85 * accs[80]

@@ -157,6 +157,14 @@ class TestPca:
             pca_fit(ds, 0)
 
 
+    def test_projection_bits_do_not_depend_on_memory_order(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(40, 30))
+        model = pca_fit(make_dataset(X, np.repeat([1, 2], 20)), 10)
+        c_order, f_order = np.ascontiguousarray(X), np.asfortranarray(X)
+        assert pca_transform(model, c_order).tobytes() == pca_transform(model, f_order).tobytes()
+
+
 class TestRandomSubset:
     def test_full_subset(self):
         assert sorted(random_subset(6, 6, seed=0).indices) == list(range(6))

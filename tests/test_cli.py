@@ -1,14 +1,15 @@
 """Command-line interface: exit codes, files, determinism, audit."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 import rfscreen.cli as cli
+import rfscreen.evaluate as evaluate
 from helpers import mask_timing
-from rfscreen import (ClassifierSpec, ScreenerSpec, cross_validate, load_csv,
-                      screening_config)
+from rfscreen import ClassifierSpec, ScreenerSpec, cross_validate, load_csv
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -240,10 +241,27 @@ class TestEvaluate:
                             lambda ds, config: real_screen(ds, ran.append(config) or config))
         code, out = _screen(workspace)
         assert code == 0
-        spec = cli._screener_spec_from_document(read_json(out))
-        rebuilt = screening_config(spec, load_csv(workspace / "data.csv").n_features)
+        spec = cli._screener_spec_from_document(read_json(out), 40)
         assert ran[0].n_canaries == 6
-        assert rebuilt == replace(ran[0], n_canaries=0)
+        assert spec.config == replace(ran[0], n_canaries=0)
+
+    def test_leak_safe_step_beyond_features_fails_before_any_fold(self, workspace,
+                                                                  monkeypatch, capsys):
+        # 40 features and 6 canaries admit step 44 for the screen, but the
+        # fold screens run without canaries, so the stored step cannot fit
+        cfg = workspace / "wide.cfg"
+        cfg.write_text("step-size = 44\nreduced-size = 5\nn-canaries = 6\n", encoding="utf-8")
+        out = workspace / "wide.json"
+        assert main(["screen", "--data", str(workspace / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        monkeypatch.setattr(evaluate, "fit_screener",
+                            lambda spec, train: pytest.fail("a fold screener was fitted"))
+        before = sorted(workspace.iterdir())
+        code = main(["evaluate", "--data", str(workspace / "data.csv"), "--result", str(out),
+                     "--leak-safe", "--out", str(workspace / "never")])
+        assert code == 2
+        assert "step-size=44 exceeds the augmented feature count 40" in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before
 
     def test_pca_result_evaluates(self, workspace, tmp_path):
         cfg = tmp_path / "pca.cfg"
@@ -293,6 +311,45 @@ class TestSweep:
                      "--out", str(workspace / "s2")])
         assert code == 2
         assert "step-size" in capsys.readouterr().err
+
+
+    def test_rfms_sweep_screens_with_the_screen_config(self, workspace, tmp_path, monkeypatch):
+        # n-subfeatures = 0 resolves once, for the pool of the widest count
+        knobs = "step-size = 20\nn-trees = 5\nn-subfeatures = 0\nrandom-state = 3\n"
+        screen_cfg = tmp_path / "screen0.cfg"
+        screen_cfg.write_text(knobs + "reduced-size = 10\n", encoding="utf-8")
+        sweep_cfg = tmp_path / "sweep0.cfg"
+        sweep_cfg.write_text(knobs + "feature-counts = 4, 10\nknn-k = 1\nfolds = 3\n",
+                             encoding="utf-8")
+        swept, screened = [], []
+        real_screen = evaluate.screen
+        monkeypatch.setattr(evaluate, "screen",
+                            lambda ds, config: real_screen(ds, swept.append(config) or config))
+        monkeypatch.setattr(cli, "screen",
+                            lambda ds, config: real_screen(ds, screened.append(config) or config))
+        data = str(workspace / "data.csv")
+        assert main(["sweep", "--data", data, "--config", str(sweep_cfg), "--screener", "rfms",
+                     "--out", str(workspace / "s0")]) == 0
+        assert main(["screen", "--data", data, "--config", str(screen_cfg),
+                     "--out", str(workspace / "s0.json")]) == 0
+        assert [c.reduced_size for c in swept] == [4, 10]
+        assert screened[0].forest.n_subfeatures == math.ceil(math.sqrt(20 + 10))
+        assert swept[-1] == screened[0]
+        assert swept[0] == replace(screened[0], reduced_size=4)
+
+    def test_knn_k_beyond_the_smallest_training_fold(self, tmp_path, capsys):
+        # 5 rows per class and 2 folds: fold 0 tests 3 + 3 rows and trains on 4
+        rows = [f"{c},{i}.5,{c * i}" for c in (1, 2) for i in range(5)]
+        data = tmp_path / "tiny.csv"
+        data.write_text("label,a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("feature-counts = 1, 2\nfolds = 2\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        code = main(["sweep", "--data", str(data), "--config", str(cfg), "--screener", "kbest",
+                     "--leak-safe", "--out", str(tmp_path / "never")])
+        assert code == 2
+        assert "knn-k must be at most 4" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestAudit:

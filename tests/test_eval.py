@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, oracle_knn
-from rfscreen import (ClassifierSpec, ScreenerSpec, convergence_sweep, cross_validate,
-                      evaluate, fit_screener, grid_search, kbest_fscore, knn_predict,
-                      pca_fit, pca_transform, reduce_full, stratified_kfold)
+from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig,
+                      convergence_sweep, cross_validate, evaluate, fit_screener, grid_search,
+                      kbest_fscore, knn_predict, pca_fit, pca_transform, reduce_full,
+                      stratified_kfold)
 from rfscreen.evaluate import fit_classifier
+
+
+def _rfms(n_out):
+    """A small rfms spec: 4-wide chunks, 5 trees of 3 candidates per node."""
+    return ScreenerSpec("rfms", config=ScreeningConfig(
+        step_size=4, reduced_size=n_out, forest=ForestParams(n_trees=5, n_subfeatures=3),
+        seed=7))
 
 
 def _blobs(seed=0, n=60, f=5, k=3, spread=1.0):
@@ -268,11 +276,25 @@ class TestCrossValidate:
                                folds=3, seed=5)
         assert 0.0 <= entry.mean_accuracy <= 1.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: ScreenerSpec("rfms", {"n_out": 2, "step_size": 4}),
+        lambda: ScreenerSpec("rfms", {"n_out": 2}, config=_rfms(2).config),
+        lambda: ScreenerSpec("kbest", {"n_out": 2}, config=_rfms(2).config),
+    ])
+    def test_only_an_rfms_spec_holds_a_screening_config(self, make):
+        with pytest.raises(ValueError, match="ScreeningConfig"):
+            make()
+
+    def test_rfms_width_is_the_config_reduced_size(self):
+        spec = _rfms(2).with_n_out(3)
+        assert spec.config == ScreeningConfig(step_size=4, reduced_size=3,
+                                              forest=ForestParams(n_trees=5, n_subfeatures=3),
+                                              seed=7)
+        assert spec.label() == "rfms(3)"
+
     def test_rfms_screener_in_fold(self):
         ds = _blobs(seed=10, n=45, f=8, k=3)
-        spec = ScreenerSpec("rfms", {"n_out": 2, "step_size": 4, "n_trees": 5,
-                                     "n_subfeatures": 3, "seed": 7})
-        entry = cross_validate(ds, spec, ClassifierSpec("knn", {"k": 1}),
+        entry = cross_validate(ds, _rfms(2), ClassifierSpec("knn", {"k": 1}),
                                folds=3, seed=5)
         assert entry.n_features_out == 2
 
@@ -300,8 +322,7 @@ class TestGridSearch:
         ds = _blobs(seed=13, f=8)
         screeners = [ScreenerSpec("kbest", {"n_out": 2}), ScreenerSpec("identity"),
                      ScreenerSpec("pca", {"n_out": 3}),
-                     ScreenerSpec("rfms", {"n_out": 3, "step_size": 4, "n_trees": 5,
-                                           "n_subfeatures": 3, "seed": 7})]
+                     _rfms(3)]
         grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)]
         report = grid_search(ds, screeners, grid, folds=3, seed=4)
         i = 0

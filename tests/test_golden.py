@@ -166,8 +166,8 @@ def sweep_cells(monkeypatch):
 
 def grid_cells():
     """Cells of a grid over pca and a small rfms screener with 1-NN."""
-    rfms = ScreenerSpec("rfms", {"n_out": 4, "step_size": 10, "n_trees": 6,
-                                 "n_subfeatures": 4, "seed": 5})
+    rfms = ScreenerSpec("rfms", config=ScreeningConfig(
+        step_size=10, reduced_size=4, forest=ForestParams(n_trees=6, n_subfeatures=4), seed=5))
     report = grid_search(_synth(59, 3, 12, 30), [ScreenerSpec("pca", {"n_out": 5}), rfms],
                          [ClassifierSpec("knn", {"k": 1})], folds=3, seed=23)
     return report.entries
