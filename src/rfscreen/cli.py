@@ -26,8 +26,8 @@ from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence
 from .forest import ForestParams
 from .rfms import ScreeningConfig, augment_with_canaries, screen
 from .serialize import (SCHEMA_VERSION, envelope, pca_document, pca_model_from_document,
-                        read_json, report_csv, report_document, screening_document,
-                        sweep_csv, sweep_document, write_json)
+                        read_json, records_csv, report_document, screening_document,
+                        sweep_document, write_json)
 from .synth import GeneratorConfig, generate
 
 
@@ -189,6 +189,18 @@ def _write_pair(doc: dict, csv: str, out: str) -> Path:
     return base
 
 
+def _forest_params(cfg: dict, prefix: str, width: int, rounding) -> ForestParams:
+    """The forest that a config's ``prefix`` keys name for ``width`` candidate features.
+
+    ``n-subfeatures`` is capped at ``width``, and 0 takes ``rounding(sqrt(width))``:
+    ceil of a round's pool for rfms, the nearest integer for the rf classifier."""
+    forest = {key.replace("-", "_"): cfg[prefix + key] for key in (
+        "n-trees", "min-samples-leaf", "min-purity-increase", "partial-sampling")}
+    explicit = cfg[prefix + "n-subfeatures"]
+    return ForestParams(**forest, n_subfeatures=min(explicit, width) if explicit
+                        else rounding(math.sqrt(width)), seed=cfg["random-state"])
+
+
 def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
     """The ``name`` spec ``n_out`` wide that a screen config names for an ``n_features`` table.
 
@@ -202,21 +214,16 @@ def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> Screene
     n_aug = n_features + cfg["n-canaries"]
     if step > n_aug:
         raise ValidationError(f"step-size={step} exceeds the augmented feature count {n_aug}")
-    pool = step + n_out  # n-subfeatures = 0 takes ceil(sqrt) of a round's pool
-    explicit = cfg["n-subfeatures"]
-    forest = {key.replace("-", "_"): cfg[key] for key in (
-        "n-trees", "min-samples-leaf", "min-purity-increase", "partial-sampling")}
-    forest["n_subfeatures"] = min(explicit, pool) if explicit else math.ceil(math.sqrt(pool))
     try:
-        config = ScreeningConfig(step, n_out, ForestParams(**forest),
+        config = ScreeningConfig(step, n_out, _forest_params(cfg, "", step + n_out, math.ceil),
                                  n_canaries=cfg["n-canaries"], seed=cfg["random-state"])
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     return ScreenerSpec("rfms", config=config)
 
 
-def _classifier_grid(cfg: dict, which: str, dataset: Dataset) -> list[ClassifierSpec]:
-    """The ``which`` classifier specs of an evaluate or sweep config, checked before work.
+def _classifier_grid(cfg: dict, which: str, dataset: Dataset, width: int) -> list[ClassifierSpec]:
+    """The ``which`` classifiers of a config for ``width`` screened features, checked before work.
 
     ``knn-k`` may not exceed fold 0's training rows, the fewest: ``stratified_kfold``
     gives fold 0 the ceiling of every class and rejects a class under ``folds`` rows."""
@@ -226,10 +233,7 @@ def _classifier_grid(cfg: dict, which: str, dataset: Dataset) -> list[Classifier
         raise ValidationError(
             f"knn-k must be at most {smallest}, the smallest training fold at folds={folds}")
     knn = [ClassifierSpec("knn", {"k": k}) for k in cfg["knn-k"]]
-    rf_params = {key[3:].replace("-", "_"): cfg[key] for key in cfg if key.startswith("rf-")}
-    if rf_params["n_subfeatures"] == 0:  # 0 = auto
-        del rf_params["n_subfeatures"]
-    rf = [ClassifierSpec("rf", {**rf_params, "seed": cfg["random-state"]})]
+    rf = [ClassifierSpec("rf", forest=_forest_params(cfg, "rf-", width, round))]
     majority = [ClassifierSpec("majority")]
     grids = {"knn": knn, "rf": rf, "majority": majority,
              "all": knn + rf + majority}
@@ -334,7 +338,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
     dataset = _load_dataset(args)
     doc = _read_result(args.result)
-    grid = _classifier_grid(cfg, args.classifier, dataset)
+    grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
@@ -346,7 +350,7 @@ def cmd_evaluate(args) -> int:
             reduced, f"{doc['screener']['name']}({reduced.n_features})",
             float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
 
-    base = _write_pair(report_document(report, folds), report_csv(report), args.out)
+    base = _write_pair(report_document(report, folds), records_csv(report.entries), args.out)
     for entry in report.entries:
         print(f"{entry.screener_id} + {entry.classifier_id}: "
               f"accuracy={entry.mean_accuracy:.4f}")
@@ -365,13 +369,16 @@ def cmd_sweep(args) -> int:
     step = cfg["step-size"]
     if args.screener == "rfms" and step is not None and max(counts) > step:
         raise ValidationError("feature-counts may not exceed step-size for rfms")
-    spec = _screener_spec(args.screener, cfg, max(counts), dataset.n_features)
+    # canaries are a whole-table diagnostic, not a sweep step
+    spec = _screener_spec(args.screener, {**cfg, "n-canaries": 0}, max(counts),
+                          dataset.n_features)
     if spec.name == "pca" and max(counts) > min(dataset.n_samples, dataset.n_features):
         raise ValidationError("feature-counts exceed the PCA component limit")
-    grid = _classifier_grid(cfg, args.classifier, dataset)
-    rows = convergence_sweep(dataset, spec, grid, counts, folds=cfg["folds"],
-                             seed=cfg["random-state"], leak_safe=args.leak_safe)
-    base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), sweep_csv(rows),
+    grids = [_classifier_grid(cfg, args.classifier, dataset, count) for count in counts]
+    rows = [row for count, grid in zip(counts, grids)
+            for row in convergence_sweep(dataset, spec, grid, [count], folds=cfg["folds"],
+                                         seed=cfg["random-state"], leak_safe=args.leak_safe)]
+    base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), records_csv(rows),
                        args.out)
     for row in rows:
         print(f"n_features_out={row.n_features_out} best_accuracy={row.best_accuracy:.4f} "

@@ -62,18 +62,26 @@ class ScreenerSpec:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """Named classifier plus its knobs: an rf spec holds one ``ForestParams`` in
+    ``forest`` and nothing else, and a knn spec reads ``params["k"]``."""
+
     name: str
     params: dict = field(default_factory=dict)
+    forest: ForestParams | None = None
 
     def __post_init__(self):
         if self.name not in CLASSIFIER_NAMES:
             raise ValueError(f"unknown classifier {self.name!r}")
+        if (self.name == "rf") != (self.forest is not None) or (self.forest and self.params):
+            raise ValueError("an rf spec holds one ForestParams and nothing else")
+        if self.name == "knn" and "k" not in self.params:
+            raise ValueError("a knn spec needs params['k']")
 
     def label(self) -> str:
         if self.name == "knn":
-            return f"knn(k={self.params.get('k', 5)})"
-        if self.name == "rf":
-            return f"rf(n_trees={self.params.get('n_trees', 50)})"
+            return f"knn(k={self.params['k']})"
+        if self.forest is not None:
+            return f"rf(n_trees={self.forest.n_trees})"
         return "majority"
 
 
@@ -167,30 +175,22 @@ def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
                    n_classes: int) -> SimpleNamespace:
     """A fitted classifier: an object whose ``predict`` maps rows to labels."""
-    p = spec.params
     if spec.name == "majority":
         klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
         return SimpleNamespace(predict=lambda X: np.full(X.shape[0], klass, dtype=np.int64))
     if spec.name == "knn":
-        k = int(p.get("k", 5))
+        k = int(spec.params["k"])
         if not 1 <= k <= train_X.shape[0]:
             raise ValueError(f"knn k must be in 1..{train_X.shape[0]}")
         X = np.array(train_X, dtype=np.float64)
         y = np.array(train_y, dtype=np.int64)
         return SimpleNamespace(
             predict=lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64), k, n_classes))
-    params = ForestParams(
-        n_trees=int(p.get("n_trees", 50)),
-        n_subfeatures=min(int(p.get("n_subfeatures", max(1, round(train_X.shape[1] ** 0.5)))),
-                          train_X.shape[1]),
-        min_samples_leaf=int(p.get("min_samples_leaf", 1)),
-        min_purity_increase=float(p.get("min_purity_increase", 0.0)),
-        partial_sampling=float(p.get("partial_sampling", 0.7)),
-        seed=int(p.get("seed", 20230125)),
-    )
+    width = train_X.shape[1]
     train = Dataset(features=train_X, labels=train_y,
-                    feature_names=tuple(f"c{i}" for i in range(train_X.shape[1])))
-    model = train_forest(train, params)
+                    feature_names=tuple(f"c{i}" for i in range(width)))
+    model = train_forest(train, replace(spec.forest,
+                                        n_subfeatures=min(spec.forest.n_subfeatures, width)))
     return SimpleNamespace(predict=lambda X: forest_predict_batch(model, X))
 
 

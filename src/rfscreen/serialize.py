@@ -8,7 +8,6 @@ is byte-stable for identical inputs (keys are sorted, floats use repr).
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 
 import numpy as np
@@ -140,15 +139,6 @@ def report_document(report: EvaluationReport, folds: int) -> dict:
     }
 
 
-def report_csv(report: EvaluationReport) -> str:
-    out = io.StringIO()
-    out.write("screener,classifier,n_features_out,mean_accuracy,screening_cpu_s,fitting_cpu_s\n")
-    for e in report.entries:
-        out.write(f"{e.screener_id},{e.classifier_id},{e.n_features_out},"
-                  f"{e.mean_accuracy!r},{e.screening_cpu_s!r},{e.fitting_cpu_s!r}\n")
-    return out.getvalue()
-
-
 def sweep_document(rows: list[SweepRow], screener_label: str, folds: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -159,10 +149,9 @@ def sweep_document(rows: list[SweepRow], screener_label: str, folds: int) -> dic
     }
 
 
-def sweep_csv(rows: list[SweepRow]) -> str:
-    out = io.StringIO()
-    out.write("n_features_out,best_accuracy,best_classifier,screening_cpu_s,fitting_cpu_s\n")
-    for r in rows:
-        out.write(f"{r.n_features_out},{r.best_accuracy!r},{r.best_classifier_id},"
-                  f"{r.screening_cpu_s!r},{r.fitting_cpu_s!r}\n")
-    return out.getvalue()
+def records_csv(records) -> str:
+    """Report entries or sweep rows as CSV: the ``_block`` keys as the header, one
+    line per record, and the tuple field ``fold_accuracies`` left out."""
+    blocks = [{k: v for k, v in _block(r).items() if not isinstance(v, tuple)} for r in records]
+    return "".join(",".join(map(str, line)) + "\n"
+                   for line in [list(blocks[0]), *(b.values() for b in blocks)])

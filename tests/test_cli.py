@@ -9,7 +9,7 @@ import pytest
 import rfscreen.cli as cli
 import rfscreen.evaluate as evaluate
 from helpers import mask_timing
-from rfscreen import ClassifierSpec, ScreenerSpec, cross_validate, load_csv
+from rfscreen import ClassifierSpec, ReportEntry, ScreenerSpec, SweepRow, cross_validate, load_csv
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -337,6 +337,39 @@ class TestSweep:
         assert swept[-1] == screened[0]
         assert swept[0] == replace(screened[0], reduced_size=4)
 
+    def test_rf_auto_candidates_follow_each_count(self, workspace, tmp_path, monkeypatch):
+        # rf-n-subfeatures = 0 draws round(sqrt(count)) candidates: 1, 3, 3, 4
+        seen = []
+        train_forest = evaluate.train_forest
+        monkeypatch.setattr(evaluate, "train_forest",
+                            lambda train, p: train_forest(train, seen.append(p) or p))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("feature-counts = 2, 7, 10, 17\nfolds = 3\nrf-n-trees = 4\n",
+                       encoding="utf-8")
+        assert main(["sweep", "--data", str(workspace / "data.csv"), "--config", str(cfg),
+                     "--screener", "kbest", "--classifier", "rf",
+                     "--out", str(workspace / "rf")]) == 0
+        assert [p.n_subfeatures for p in seen] == [1] * 3 + [3] * 6 + [4] * 3
+        assert {(p.n_trees, p.seed) for p in seen} == {(4, 20230125)}
+
+    @pytest.mark.parametrize("leak_safe", [(), ("--leak-safe",)])
+    def test_canaries_are_not_a_sweep_step(self, workspace, tmp_path, leak_safe):
+        # the screens run without canaries, as leak-safe evaluate's do; with them, seed 1
+        # leaks a canary into a screen under both protocols and the sweep exits 1
+        knobs = ("step-size = 20\nn-trees = 15\nfeature-counts = 5, 9\nknn-k = 1\n"
+                 "folds = 3\nrandom-state = 1\n")
+        docs = []
+        for canaries in (30, 0):
+            cfg = tmp_path / f"sweep{canaries}.cfg"
+            cfg.write_text(knobs + f"n-canaries = {canaries}\n", encoding="utf-8")
+            out = workspace / f"sweep{canaries}"
+            assert main(["sweep", "--data", str(workspace / "data.csv"), "--config", str(cfg),
+                         "--screener", "rfms", "--classifier", "all", "--out", str(out),
+                         *leak_safe]) == 0
+            docs.append([{k: v for k, v in row.items() if not k.endswith("_cpu_s")}
+                         for row in read_json(out.with_suffix(".json"))["rows"]])
+        assert docs[0] == docs[1]
+
     def test_knn_k_beyond_the_smallest_training_fold(self, tmp_path, capsys):
         # 5 rows per class and 2 folds: fold 0 tests 3 + 3 rows and trains on 4
         rows = [f"{c},{i}.5,{c * i}" for c in (1, 2) for i in range(5)]
@@ -350,6 +383,20 @@ class TestSweep:
         assert code == 2
         assert "knn-k must be at most 4" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_records_csv_writes_the_fields_in_order_with_repr_floats():
+    from rfscreen.serialize import records_csv
+
+    entries = [ReportEntry("rfms(5)", "knn(k=1)", 5, (0.5, 0.25), 0.1 + 0.2, 1e-07, 3.0),
+               ReportEntry("rfms(5)", "rf(n_trees=7)", 5, (1.0,), 2 / 3, 0.0, 12.5)]
+    assert records_csv(entries) == (
+        "screener,classifier,n_features_out,mean_accuracy,screening_cpu_s,fitting_cpu_s\n"
+        "rfms(5),knn(k=1),5,0.30000000000000004,1e-07,3.0\n"
+        "rfms(5),rf(n_trees=7),5,0.6666666666666666,0.0,12.5\n")
+    assert records_csv([SweepRow(9, 0.7518518518518519, "majority", 1e16, 0.125)]) == (
+        "n_features_out,best_accuracy,best_classifier,screening_cpu_s,fitting_cpu_s\n"
+        "9,0.7518518518518519,majority,1e+16,0.125\n")
 
 
 class TestAudit:

@@ -1,6 +1,7 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every demos/ script and every Python block of README.md runs against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,15 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run():
+    # the blocks build on each other, so they run in order in one namespace
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    promised = re.search(r"print\(result\.leak_count\)\s+#[^:]*: (\d+) here", readme)
+    assert namespace["result"].leak_count == int(promised.group(1))

@@ -271,10 +271,37 @@ class TestCrossValidate:
 
     def test_rf_classifier_runs(self):
         ds = _blobs(seed=9, n=45, k=3)
-        entry = cross_validate(ds, ScreenerSpec("identity"),
-                               ClassifierSpec("rf", {"n_trees": 5, "seed": 3}),
-                               folds=3, seed=5)
+        rf = ClassifierSpec("rf", forest=ForestParams(n_trees=5, n_subfeatures=2, seed=3))
+        entry = cross_validate(ds, ScreenerSpec("identity"), rf, folds=3, seed=5)
         assert 0.0 <= entry.mean_accuracy <= 1.0
+        assert entry.classifier_id == "rf(n_trees=5)"
+
+    @pytest.mark.parametrize("make", [
+        lambda: ClassifierSpec("rf"),
+        lambda: ClassifierSpec("rf", {"n_trees": 5}),
+        lambda: ClassifierSpec("rf", {"k": 1}, forest=ForestParams(n_trees=5, n_subfeatures=2)),
+        lambda: ClassifierSpec("knn", {"k": 1}, forest=ForestParams(n_trees=5, n_subfeatures=2)),
+        lambda: ClassifierSpec("majority", forest=ForestParams(n_trees=5, n_subfeatures=2)),
+    ])
+    def test_only_an_rf_spec_holds_forest_params(self, make):
+        with pytest.raises(ValueError, match="ForestParams"):
+            make()
+
+    def test_knn_spec_without_k_rejected(self):
+        with pytest.raises(ValueError, match="k"):
+            ClassifierSpec("knn")
+
+    def test_rf_candidates_are_capped_at_the_training_width(self, monkeypatch):
+        seen = []
+        train_forest = evaluate.train_forest
+        monkeypatch.setattr(evaluate, "train_forest",
+                            lambda train, p: train_forest(train, seen.append(p) or p))
+        ds = _blobs(seed=4, n=30, f=6)
+        forest = ForestParams(n_trees=3, n_subfeatures=50, min_samples_leaf=2, seed=8)
+        clf = fit_classifier(ClassifierSpec("rf", forest=forest), ds.features, ds.labels,
+                             ds.n_classes)
+        assert clf.predict(ds.features).shape == (30,)
+        assert seen == [ForestParams(n_trees=3, n_subfeatures=6, min_samples_leaf=2, seed=8)]
 
     @pytest.mark.parametrize("make", [
         lambda: ScreenerSpec("rfms", {"n_out": 2, "step_size": 4}),

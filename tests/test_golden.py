@@ -1,11 +1,12 @@
-"""Golden outputs: one forest, three screens, kNN labels and sweep cells, frozen in golden.json.
+"""Golden outputs: a forest, screens, kNN labels, sweep cells and rf documents, in golden.json.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
 them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
 labels from the difference-tensor kNN, the sweep cells from the harness
-that refitted each fold's screener once per cell), and must pass unchanged for as
+that refitted each fold's screener once per cell, the rf classifier documents from the
+classifier that read its knobs with library defaults), and must pass unchanged for as
 long as the determinism contract holds.  Never regenerate golden.json to
 make a change pass: a mismatch means the bits of the output moved.
 """
@@ -19,9 +20,9 @@ import pytest
 
 from helpers import make_dataset
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
-                      ScreeningConfig, convergence_sweep, dump_forest, evaluate, forest_predict,
-                      forest_predict_batch, generate, grid_search, screen, selection_frequency,
-                      train_forest)
+                      ScreeningConfig, cli, convergence_sweep, dump_forest, evaluate,
+                      forest_predict, forest_predict_batch, generate, grid_search, screen,
+                      selection_frequency, train_forest)
 from rfscreen.evaluate import fit_classifier
 
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
@@ -181,3 +182,69 @@ def test_leak_safe_sweep_cells_match_golden(monkeypatch):
 
 def test_grid_cells_match_golden():
     assert cells_digest(grid_cells()) == GOLDEN["sweep"]["pca-rfms-grid"]
+
+
+RF_TABLE_CFG = """\
+n-classes = 3
+n-samples-per-class = 16
+n-true-features = 6
+n-fake-features = 6
+n-features-out = 24
+min-count = 1
+max-count = 2
+random-state = 41
+"""
+
+RF_SCREEN_CFG = "step-size = 8\nreduced-size = 5\nn-trees = 8\nrandom-state = 13\n"
+
+RF_EVAL_CFG = "folds = 3\nknn-k = 1, 3\nrf-n-trees = 7\n"
+
+# name -> (argv after the command, extra config lines); the screened width is 5
+RF_RUNS = {
+    "evaluate-auto": (["evaluate", "--classifier", "rf"], "rf-n-subfeatures = 0\n"),
+    "evaluate-auto-leak-safe": (["evaluate", "--classifier", "rf", "--leak-safe"],
+                                "rf-n-subfeatures = 0\n"),
+    "evaluate-wide": (["evaluate", "--classifier", "rf"], "rf-n-subfeatures = 9\n"),
+    "evaluate-wide-leak-safe": (["evaluate", "--classifier", "rf", "--leak-safe"],
+                                "rf-n-subfeatures = 9\n"),
+    "sweep-rfms-all": (["sweep", "--screener", "rfms", "--classifier", "all"],
+                       RF_SCREEN_CFG + "feature-counts = 2, 4, 7\n"),
+    "sweep-kbest-all-leak-safe": (["sweep", "--screener", "kbest", "--classifier", "all",
+                                   "--leak-safe"], "feature-counts = 3, 6, 12, 24\n"),
+}
+
+
+def masked_sha256(doc) -> str:
+    """sha256 of a report or sweep document with every ``*_cpu_s`` field zeroed."""
+    def mask(node):
+        if isinstance(node, dict):
+            return {k: 0.0 if k.endswith("_cpu_s") else mask(v) for k, v in node.items()}
+        return [mask(v) for v in node] if isinstance(node, list) else node
+    return hashlib.sha256(json.dumps(mask(doc), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def rf_workspace(tmp_path_factory):
+    """A generated 48 x 24 table and its rfms screen, written through ``cli.main``."""
+    root = tmp_path_factory.mktemp("rf")
+    (root / "gen.cfg").write_text(RF_TABLE_CFG, encoding="utf-8")
+    (root / "screen.cfg").write_text(RF_SCREEN_CFG, encoding="utf-8")
+    assert cli.main(["generate", "--config", str(root / "gen.cfg"),
+                     "--out", str(root / "data.csv")]) == 0
+    assert cli.main(["screen", "--data", str(root / "data.csv"), "--config",
+                     str(root / "screen.cfg"), "--out", str(root / "screened.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(RF_RUNS))
+def test_rf_classifier_documents_match_golden(rf_workspace, name):
+    argv, extra = RF_RUNS[name]
+    cfg = rf_workspace / f"{name}.cfg"
+    cfg.write_text(RF_EVAL_CFG + extra, encoding="utf-8")
+    out = rf_workspace / name
+    if argv[0] == "evaluate":
+        argv = argv + ["--result", str(rf_workspace / "screened.json")]
+    assert cli.main([*argv, "--data", str(rf_workspace / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert masked_sha256(doc) == GOLDEN["rf"][name]
