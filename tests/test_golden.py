@@ -1,4 +1,4 @@
-"""Golden outputs: a forest, screens, kNN labels, sweep cells and rf documents, in golden.json.
+"""Golden outputs: a forest, screens, kNN labels, sweep cells, rf and screen documents.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
@@ -6,7 +6,8 @@ them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
 labels from the difference-tensor kNN, the sweep cells from the harness
 that refitted each fold's screener once per cell, the rf classifier documents from the
-classifier that read its knobs with library defaults), and must pass unchanged for as
+classifier that read its knobs with library defaults, the CLI screen documents from
+the screens that built a canary-augmented copy of the table), and must pass unchanged for as
 long as the determinism contract holds.  Never regenerate golden.json to
 make a change pass: a mismatch means the bits of the output moved.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_dataset
+from helpers import make_dataset, mask_timing
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, cli, convergence_sweep, dump_forest, evaluate,
                       forest_predict, forest_predict_batch, generate, grid_search, screen,
@@ -248,3 +249,26 @@ def test_rf_classifier_documents_match_golden(rf_workspace, name):
                      "--out", str(out)]) == 0
     doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert masked_sha256(doc) == GOLDEN["rf"][name]
+
+
+# name -> (screener, config) for ``screen`` on the rf workspace's 24-column table; the
+# kbest and random screens pick from the 24 columns plus their 10 canaries
+SCREEN_RUNS = {
+    "kbest-canaries": ("kbest", "reduced-size = 30\nn-canaries = 10\n"),
+    "random-canaries": ("random", "reduced-size = 12\nn-canaries = 10\nrandom-state = 3\n"),
+    "pca": ("pca", "reduced-size = 5\n"),
+    "rfms-canaries": ("rfms", RF_SCREEN_CFG + "n-canaries = 10\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_RUNS))
+def test_screen_documents_match_golden(rf_workspace, name):
+    screener, text = SCREEN_RUNS[name]
+    cfg = rf_workspace / f"screen-{name}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = rf_workspace / f"screen-{name}.json"
+    assert cli.main(["screen", "--screener", screener, "--data", str(rf_workspace / "data.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    doc = mask_timing(json.loads(out.read_text(encoding="utf-8")))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN["screen_documents"][name]
