@@ -16,7 +16,7 @@ from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSp
 from .forest import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                      dump_forest, forest_predict, forest_predict_batch, gini_impurity,
                      selection_frequency, train_forest)
-from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, augment_with_canaries,
+from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, canary_block,
                    partition_features, permute_features, screen)
 from .synth import GeneratorConfig, Provenance, generate, truth_overlap
 
@@ -26,7 +26,7 @@ __all__ = [
     "ClassifierSpec", "CsvFormatError", "Dataset", "EvaluationReport", "FeatureSubset",
     "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel", "Provenance",
     "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig", "ScreeningResult",
-    "SweepRow", "Tree", "augment_with_canaries", "best_split", "bootstrap_indices",
+    "SweepRow", "Tree", "best_split", "bootstrap_indices", "canary_block",
     "convergence_sweep", "cross_validate", "dump_forest", "f_scores", "fit_screener",
     "forest_predict", "forest_predict_batch", "generate", "gini_impurity",
     "grid_search", "kbest_fscore", "knn_predict", "load_csv", "partition_features",

@@ -48,13 +48,18 @@ def f_scores(dataset: Dataset) -> np.ndarray:
     return f
 
 
+def top_k(k_out: int, *scores: np.ndarray) -> FeatureSubset:
+    """The ids of the ``k_out`` highest joined scores, descending, ties to the smaller id."""
+    joined = np.concatenate(scores)
+    order = np.lexsort((np.arange(joined.shape[0]), -joined))
+    return FeatureSubset(tuple(int(i) for i in order[:k_out]))
+
+
 def kbest_fscore(dataset: Dataset, k_out: int) -> FeatureSubset:
-    """Top ``k_out`` features by F-score, descending, ties to the smaller id."""
+    """Top ``k_out`` features by F-score."""
     if not 1 <= k_out <= dataset.n_features:
         raise ValueError(f"k_out must be in 1..{dataset.n_features}")
-    f = f_scores(dataset)
-    order = np.lexsort((np.arange(f.shape[0]), -f))
-    return FeatureSubset(tuple(int(i) for i in order[:k_out]))
+    return top_k(k_out, f_scores(dataset))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from .baselines import f_scores, pca_fit, random_subset, top_k
 from .data import CsvFormatError, Dataset, load_csv, write_csv
 from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
-                       fit_screener, grid_search, screen_once_report)
+                       grid_search, screen_once_report)
 from .forest import ForestParams
-from .rfms import ScreeningConfig, augment_with_canaries, screen
+from .rfms import ScreeningConfig, canary_block, screen
 from .serialize import (SCHEMA_VERSION, envelope, pca_document, pca_model_from_document,
                         read_json, records_csv, report_document, screening_document,
                         sweep_document, write_json)
@@ -265,25 +266,31 @@ def _screen_baseline(dataset: Dataset, spec: ScreenerSpec, cfg: dict) -> dict:
     if spec.name == "pca" and cfg["n-canaries"] > 0:
         raise ValidationError("canaries are only meaningful for subset screeners; "
                               "set n-canaries = 0 for pca")
-    augmented, canary_ids = augment_with_canaries(dataset, cfg["n-canaries"], seed)
     if spec.name == "pca":
         limit, where = min(dataset.n_samples, dataset.n_features), " for pca"
     else:
-        limit, where = augmented.n_features, ""
+        limit, where = dataset.n_features + cfg["n-canaries"], ""
     if not 1 <= k_out <= limit:
         raise ValidationError(f"reduced-size must be in 1..{limit}{where}")
+    canaries = canary_block(dataset, cfg["n-canaries"], seed)
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    fitted = fit_screener(spec, augmented)
+    if spec.name == "kbest":
+        selected = top_k(k_out, f_scores(dataset), f_scores(canaries))
+    elif spec.name == "random":
+        selected = random_subset(limit, k_out, seed)
+    else:
+        model = pca_fit(dataset, k_out)
     timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
     meta = {"n_samples": dataset.n_samples, "n_features": dataset.n_features,
             "n_classes": dataset.n_classes}
-    if fitted.transforming:
-        return pca_document({"name": "pca", "n_out": k_out}, fitted.pca, meta, **timing)
+    if spec.name == "pca":
+        return pca_document({"name": "pca", "n_out": k_out}, model, meta, **timing)
     screener_block = {"name": spec.name, "n_out": k_out, "n_canaries": cfg["n-canaries"]}
     if spec.name == "random":
         screener_block["random_state"] = seed
-    return envelope(screener_block, meta, fitted.selected.indices, augmented.feature_names,
-                    canary_ids=canary_ids, **timing)
+    return envelope(screener_block, meta, selected.indices,
+                    dataset.feature_names + canaries.feature_names,
+                    canary_ids=tuple(range(dataset.n_features, limit)), **timing)
 
 
 def cmd_screen(args) -> int:

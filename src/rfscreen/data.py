@@ -157,9 +157,10 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
 
+    features, rows = np.array(rows, order="F"), None  # no rows alive in Dataset's checks
     remap: dict[str, int] = {}
     return Dataset(
-        features=np.array(rows, order="F"),
+        features=features,
         labels=[remap.setdefault(raw, len(remap) + 1) for raw in raw_labels],
         feature_names=feature_names,
     )

@@ -6,9 +6,9 @@ plus the ``reduced_size`` survivors carried over from the previous round,
 ranks the pool by selection frequency, and carries the top ``reduced_size``
 features forward.  The carry left after the last chunk is the screened set.
 
-Optionally, pure-noise canary columns are appended to the feature space
-before permutation; any canary surviving to the output is a red flag that
-the screen is promoting noise.
+Optionally, pure-noise canary columns, kept in a block apart from the table,
+join the feature space before permutation; any canary surviving to the output
+is a red flag that the screen is promoting noise.
 """
 
 from __future__ import annotations
@@ -124,23 +124,23 @@ def partition_features(permutation, step_size: int) -> list[np.ndarray]:
     return [perm[i * step_size:min((i + 1) * step_size, n)] for i in range(m)]
 
 
-def augment_with_canaries(dataset: Dataset, n_canaries: int, seed: int):
-    """Append seeded standard-normal noise columns; returns (dataset, ids)."""
-    if n_canaries == 0:
-        return dataset, ()
+def canary_block(dataset: Dataset, n_canaries: int, seed: int) -> Dataset:
+    """Seeded standard-normal noise columns over the dataset's rows, named apart from its own."""
     names = tuple(f"canary_{i + 1:04d}" for i in range(n_canaries))
     clash = set(names) & set(dataset.feature_names)
     if clash:
         raise ValueError(f"dataset already contains canary-reserved names: {sorted(clash)}")
     noise = stream(seed, _CANARY_STREAM).standard_normal((dataset.n_samples, n_canaries))
-    augmented = Dataset(
-        # Fortran inputs give a Fortran result, which Dataset does not copy
-        features=np.hstack([dataset.features, np.asfortranarray(noise)]),
-        labels=dataset.labels,
-        feature_names=dataset.feature_names + names,
-    )
-    ids = tuple(range(dataset.n_features, dataset.n_features + n_canaries))
-    return augmented, ids
+    return Dataset(noise, dataset.labels, names)
+
+
+def _pool_dataset(dataset: Dataset, canaries: Dataset, names, pool) -> Dataset:
+    """The pool's columns in pool order, gathered from the table and the canary block."""
+    real = pool < dataset.n_features
+    features = np.empty((dataset.n_samples, pool.shape[0]), order="F")
+    features[:, real] = dataset.features[:, pool[real]]
+    features[:, ~real] = canaries.features[:, pool[~real] - dataset.n_features]
+    return Dataset(features, dataset.labels, tuple(names[i] for i in pool))
 
 
 def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> ScreeningResult:
@@ -148,6 +148,7 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
 
     Within a round, importance ties are broken toward the smallest feature
     id so the whole run is reproducible.  Rounds are strictly sequential.
+    The canaries stay apart: a screen holds its input plus one round's pool.
     ``n_threads`` is accepted for existing callers and has no effect: all
     trees of a forest already grow in one lockstep batch.
     """
@@ -157,8 +158,9 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
     if np.unique(dataset.labels).size < 2:
         raise ValueError("screening needs at least 2 classes; got a single-class dataset")
     config.forest.validate()
-    augmented, canary_ids = augment_with_canaries(dataset, config.n_canaries, config.seed)
-    n = augmented.n_features
+    canaries = canary_block(dataset, config.n_canaries, config.seed)
+    names = dataset.feature_names + canaries.feature_names
+    n = len(names)
     if config.step_size > n:
         raise ValueError(
             f"step_size={config.step_size} exceeds the augmented feature count {n}"
@@ -176,7 +178,7 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
             n_subfeatures=min(config.forest.n_subfeatures, pool.shape[0]),
             seed=derive_seed(config.seed, _ROUND_STREAM, i),
         )
-        model = train_forest(augmented.select_features(pool), round_params)
+        model = train_forest(_pool_dataset(dataset, canaries, names, pool), round_params)
         importance = selection_frequency(model)
         order = np.lexsort((pool, -importance))
         selected = pool[order[:config.reduced_size]]
@@ -195,8 +197,8 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
         selected=FeatureSubset(tuple(int(f) for f in carry)),
         rounds=tuple(rounds),
         permutation=tuple(int(f) for f in permutation),
-        canary_ids=canary_ids,
-        feature_names=augmented.feature_names,
+        canary_ids=tuple(range(dataset.n_features, n)),
+        feature_names=names,
         n_features_input=dataset.n_features,
         n_samples=dataset.n_samples,
         n_classes=dataset.n_classes,

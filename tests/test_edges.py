@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_dataset, oracle_f_scores
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
-                      augment_with_canaries, best_split, dump_forest, f_scores,
+                      best_split, canary_block, dump_forest, f_scores,
                       forest_predict_batch, kbest_fscore, load_csv, partition_features,
                       pca_transform, permute_features, pca_fit, screen,
                       selection_frequency, train_forest)
@@ -105,7 +105,7 @@ class TestPipelineEdges:
     def test_canary_name_collision_rejected(self):
         ds = make_dataset([[1.0, 2.0]], [1], names=("canary_0001", "x"))
         with pytest.raises(ValueError, match="canary"):
-            augment_with_canaries(ds, 2, seed=0)
+            canary_block(ds, 2, seed=0)
 
     def test_oversized_subfeature_config_is_clamped_per_round(self):
         rng = np.random.default_rng(14)

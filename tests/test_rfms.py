@@ -1,10 +1,13 @@
-"""Multiround screening: permutation, partition, rounds, canary audit."""
+"""Multiround screening: permutation, partition, rounds, canary audit, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import make_dataset, mask_timing
-from rfscreen import (FeatureSubset, ForestParams, ScreeningConfig, ScreeningResult,
+from rfscreen import (FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
+                      cli,
                       partition_features, permute_features, screen,
                       selection_frequency, train_forest)
 from rfscreen.serialize import dumps, screening_document
@@ -204,3 +207,49 @@ class TestCanaries:
         )
         assert fixture.leaked_ids == (5, 4)  # selection order, not id order
         assert fixture.leak_count == 2
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A short, wide table screened with 100 canaries: no copy of the table is made.
+
+    Beyond the table a screen holds the canary block, one round's pool and forest, and
+    the rounds' id tuples, about 0.36 of this table; one copy of the table would be 1.0.
+    """
+
+    KBEST_CFG = {"reduced-size": 20, "random-state": 8, "n-canaries": 100}
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(60)
+        y = np.repeat(np.arange(1, 11), 10)
+        X = rng.normal(size=(100, 3000))
+        X[:, :5] += y[:, None]
+        ds = make_dataset(X, y)
+        # first calls import modules lazily (numpy.ma); keep those bytes out of the peaks
+        small = ds.select_features(range(50))
+        screen(small, ScreeningConfig(step_size=30, reduced_size=5, n_canaries=10,
+                                      forest=_forest(n_trees=2, n_subfeatures=3)))
+        cli._screen_baseline(small, ScreenerSpec("kbest", {"n_out": 20, "seed": 8}),
+                             self.KBEST_CFG)
+        return ds
+
+    def test_screen_holds_less_than_half_the_table(self, wide):
+        config = ScreeningConfig(step_size=250, reduced_size=20, n_canaries=100, seed=8,
+                                 forest=_forest(n_trees=2, n_subfeatures=8, min_samples_leaf=3))
+        peak = _traced_peak(lambda: screen(wide, config))
+        assert peak < wide.features.nbytes / 2
+
+    def test_kbest_screen_holds_less_than_half_the_table(self, wide):
+        spec = ScreenerSpec("kbest", {"n_out": 20, "seed": 8})
+        peak = _traced_peak(lambda: cli._screen_baseline(wide, spec, self.KBEST_CFG))
+        assert peak < wide.features.nbytes / 2
