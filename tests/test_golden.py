@@ -1,4 +1,5 @@
-"""Golden outputs: a forest, screens, kNN labels, sweep cells, rf and screen documents.
+"""Golden outputs: a forest, screens, kNN labels, sweep cells, rf and screen documents,
+and the cells and per-fold fits of two leak-safe grids over a wide table.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
@@ -7,7 +8,8 @@ forest and screens from the object-graph tree implementation, the kNN
 labels from the difference-tensor kNN, the sweep cells from the harness
 that refitted each fold's screener once per cell, the rf classifier documents from the
 classifier that read its knobs with library defaults, the CLI screen documents from
-the screens that built a canary-augmented copy of the table), and must pass unchanged for as
+the screens that built a canary-augmented copy of the table, the wide grids from the
+harness that copied each training fold into its own Dataset), and must pass unchanged for as
 long as the determinism contract holds.  Never regenerate golden.json to
 make a change pass: a mismatch means the bits of the output moved.
 """
@@ -183,6 +185,57 @@ def test_leak_safe_sweep_cells_match_golden(monkeypatch):
 
 def test_grid_cells_match_golden():
     assert cells_digest(grid_cells()) == GOLDEN["sweep"]["pca-rfms-grid"]
+
+
+def _wide_table():
+    """60 x 10,000, 3 classes: a 40-row training fold spans several 1 MiB F-score blocks.
+
+    Normal noise with a shifted column in every 97, 600 three-valued columns full of
+    ties, and 10 constant columns.
+    """
+    rng = np.random.default_rng(6100)
+    y = np.repeat([1, 2, 3], 20)
+    X = rng.normal(size=(60, 10_000))
+    X[:, ::97] += 0.6 * y[:, None]
+    X[:, 5000:5600] = rng.integers(0, 3, size=(60, 600))
+    X[:, 7000:7010] = 2.5
+    return make_dataset(X, y)
+
+
+# name -> screeners of a leak-safe grid over the wide table; kbest(10000) ranks every column
+WIDE_GRIDS = {
+    "kbest": [ScreenerSpec("kbest", {"n_out": 12}), ScreenerSpec("kbest", {"n_out": 10_000})],
+    "random-pca": [ScreenerSpec("random", {"n_out": 40, "seed": 3}),
+                   ScreenerSpec("pca", {"n_out": 6})],
+}
+
+
+def observe_fit(fitted) -> str:
+    """sha256 of a fold's selected ids, or of the bytes of its PCA model."""
+    if fitted.pca is None:
+        data = json.dumps(list(fitted.selected.indices)).encode()
+    else:
+        model = fitted.pca
+        data = b"".join(np.ascontiguousarray(a).tobytes()
+                        for a in (model.mean, model.components, model.eigenvalues))
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_GRIDS))
+def test_wide_leak_safe_grid_matches_golden(monkeypatch, name):
+    fits = []
+    fit_screener = evaluate.fit_screener
+
+    def recording(*args, **kwargs):
+        fits.append(fit_screener(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(evaluate, "fit_screener", recording)
+    grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)]
+    report = grid_search(_wide_table(), WIDE_GRIDS[name], grid, folds=3, seed=29)
+    observed = {"cells": cells_digest(report.entries), "fits": [observe_fit(f) for f in fits]}
+    assert len(observed["fits"]) == 6
+    assert observed == GOLDEN["wide_grids"][name]
 
 
 RF_TABLE_CFG = """\
