@@ -12,7 +12,7 @@ from .baselines import PcaModel, f_scores, kbest_fscore, pca_fit, pca_transform,
 from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_kfold, write_csv
 from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSpec,
                        SweepRow, convergence_sweep, cross_validate, fit_screener,
-                       grid_search, knn_predict, reduce_full, screen_once_report)
+                       grid_search, reduce_full, screen_once_report)
 from .forest import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
                      dump_forest, forest_predict, forest_predict_batch, gini_impurity,
                      selection_frequency, train_forest)
@@ -29,7 +29,7 @@ __all__ = [
     "SweepRow", "Tree", "best_split", "bootstrap_indices", "canary_block",
     "convergence_sweep", "cross_validate", "dump_forest", "f_scores", "fit_screener",
     "forest_predict", "forest_predict_batch", "generate", "gini_impurity",
-    "grid_search", "kbest_fscore", "knn_predict", "load_csv", "partition_features",
+    "grid_search", "kbest_fscore", "load_csv", "partition_features",
     "pca_fit", "pca_transform", "permute_features", "random_subset", "reduce_full",
     "screen", "screen_once_report", "selection_frequency",
     "stratified_kfold", "train_forest", "truth_overlap", "write_csv",

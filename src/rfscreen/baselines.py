@@ -15,36 +15,42 @@ from .data import Dataset, FeatureSubset
 from .rng import stream
 
 _RANDOM_SUBSET_STREAM = 0x5AB
+_BLOCK_BYTES = 1 << 20  # the gathered rows of one F-score column block
 
 
-def f_scores(dataset: Dataset) -> np.ndarray:
+def f_scores(dataset: Dataset, rows=None) -> np.ndarray:
     """One-way ANOVA F statistic of every feature against the class labels.
 
     F = (between-class mean square) / (within-class mean square), over the
-    classes present in the labels.
+    classes present in the labels of ``rows`` (all rows by default).
     Globally constant features score 0; features with zero within-class
     variance but distinct class means score +inf.
     """
-    classes = np.unique(dataset.labels)
+    y = dataset.labels if rows is None else dataset.labels[rows]
+    classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("F-scores need at least 2 classes")
-    X = dataset.features
-    y = dataset.labels
-    n, k = dataset.n_samples, classes.size
-    grand_mean = X.mean(axis=0)
-    ss_between = np.zeros(dataset.n_features)
-    ss_within = np.zeros(dataset.n_features)
-    for cls in classes:
-        rows = X[y == cls]
-        cls_mean = rows.mean(axis=0)
-        ss_between += rows.shape[0] * (cls_mean - grand_mean) ** 2
-        ss_within += ((rows - cls_mean) ** 2).sum(axis=0)
-    ms_between = ss_between / (k - 1)
-    ms_within = ss_within / (n - k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = ms_between / ms_within
+    n, k, p = y.shape[0], classes.size, dataset.n_features
+    # Column-major blocks give each score the bits of a table of the rows alone, but a
+    # 1-wide block is contiguous both ways and numpy would sum its class rows pairwise.
+    n_blocks = max(1, p // max(2, _BLOCK_BYTES // (8 * n)))
+    edges = [p * i // n_blocks for i in range(n_blocks + 1)]
+    f = np.empty(p)
+    for a, b in zip(edges, edges[1:]):
+        X = dataset.gather(rows, slice(a, b))
+        grand_mean = X.mean(axis=0)
+        ss_between = np.zeros(b - a)
+        ss_within = np.zeros(b - a)
+        for cls in classes:
+            members = X[y == cls]
+            cls_mean = members.mean(axis=0)
+            ss_between += members.shape[0] * (cls_mean - grand_mean) ** 2
+            ss_within += ((members - cls_mean) ** 2).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f[a:b] = (ss_between / (k - 1)) / (ss_within / (n - k))
+        f[a:b][X.max(axis=0) == X.min(axis=0)] = 0.0
+        del X  # free this block before the next is gathered
     f[np.isnan(f)] = 0.0
-    f[X.max(axis=0) == X.min(axis=0)] = 0.0
     return f
 
 
@@ -55,11 +61,11 @@ def top_k(k_out: int, *scores: np.ndarray) -> FeatureSubset:
     return FeatureSubset(tuple(int(i) for i in order[:k_out]))
 
 
-def kbest_fscore(dataset: Dataset, k_out: int) -> FeatureSubset:
-    """Top ``k_out`` features by F-score."""
+def kbest_fscore(dataset: Dataset, k_out: int, rows=None) -> FeatureSubset:
+    """Top ``k_out`` features by the F-score of ``rows`` (all rows by default)."""
     if not 1 <= k_out <= dataset.n_features:
         raise ValueError(f"k_out must be in 1..{dataset.n_features}")
-    return top_k(k_out, f_scores(dataset))
+    return top_k(k_out, f_scores(dataset, rows))
 
 
 @dataclass(frozen=True)
@@ -88,21 +94,23 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(dataset: Dataset, n_components: int) -> PcaModel:
-    """Eigendecomposition of the sample covariance of the feature matrix.
+def pca_fit(dataset: Dataset, n_components: int, rows=None) -> PcaModel:
+    """Eigendecomposition of the sample covariance of the rows' feature matrix.
 
-    When the table is wider than it is tall the decomposition runs on the
-    Gram matrix instead (same spectrum, O(n_samples^2) memory); in that
-    regime only components with nonzero variance exist, so requesting more
-    than the data rank fails.
+    ``rows`` (all by default) are copied once and centred in place.  When they
+    are wider than tall the decomposition runs on the Gram matrix instead (same
+    spectrum, O(n_samples^2) memory); in that regime only components with
+    nonzero variance exist, so requesting more than the data rank fails.
     """
-    n, p = dataset.n_samples, dataset.n_features
+    rows = np.arange(dataset.n_samples) if rows is None else rows
+    n, p = len(rows), dataset.n_features
     if n < 2:
         raise ValueError("PCA needs at least 2 samples")
     if not 1 <= n_components <= min(n, p):
         raise ValueError(f"n_components must be in 1..{min(n, p)}")
-    mean = dataset.features.mean(axis=0)
-    centered = dataset.features - mean
+    centered = dataset.gather(rows)
+    mean = centered.mean(axis=0)
+    centered -= mean
     if p <= n:
         cov = centered.T @ centered / (n - 1)
         eigenvalues, vectors = np.linalg.eigh(cov)

@@ -71,6 +71,10 @@ class Dataset:
         Ids below it may be absent, as in a training fold or a subset."""
         return int(self.labels.max()) if self.labels.size else 0
 
+    def gather(self, rows=None, cols=slice(None)) -> np.ndarray:
+        """Column-major ``rows`` of the column slice ``cols``: all rows as a view, else a copy."""
+        return self.features[:, cols] if rows is None else np.take(self.features.T[cols], rows, 1).T
+
     def select_features(self, indices) -> "Dataset":
         """Column-subset view as a new Dataset (labels shared)."""
         idx = np.asarray(indices, dtype=np.int64)

@@ -1,14 +1,15 @@
 """Measurement harness: classifiers, cross-validation, grid search, sweeps.
 
-``cross_validate`` is leak-safe: the screener is fitted on each fold's
-training rows only, and both portions are gathered from the table already
-reduced.  :func:`grid_search` fits each screener once per fold and shares
-the fits across its classifier cells.  The screen-once protocol, the
-command-line ``evaluate`` default, is :func:`reduce_full` followed by
-:func:`screen_once_report`.  kNN screens neighbours with one matmul per call
-and re-scores the rows near its cut exactly.  CPU cost is split into
-screening seconds (the reduction fits a cell uses, shared or not) and fitting
-seconds (classifier training), both measured as process CPU time.
+``cross_validate`` is leak-safe: a fold is a pair of row-index arrays over
+the one table, the screener is fitted on its training rows only, and both
+portions are gathered once reduced.  :func:`grid_search` fits each screener
+once per fold and shares the fits across its classifier cells.  The
+screen-once protocol, the command-line ``evaluate`` default, is
+:func:`reduce_full` followed by :func:`screen_once_report`.  kNN screens
+neighbours with one matmul per call and re-scores the rows near its cut
+exactly.  CPU cost is split into screening seconds (the reduction fits a cell
+uses, shared or not) and fitting seconds (classifier training), both measured
+as process CPU time.
 """
 
 from __future__ import annotations
@@ -111,16 +112,15 @@ class FittedScreener:
                        feature_names=tuple(f"pc{i + 1}" for i in range(self.n_out)))
 
 
-def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
-    """Fit the screener named by ``spec`` on training data only.
-
-    rfms screens with the spec's ``ScreeningConfig`` unchanged and fails if a
-    canary survives."""
+def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScreener:
+    """Fit the screener named by ``spec`` on the table's ``rows`` only (all by default),
+    building no table of them; rfms screens with the spec's ``ScreeningConfig``
+    unchanged and fails if a canary survives."""
     p = spec.params
     if spec.name == "identity":
-        return FittedScreener(selected=FeatureSubset(tuple(range(train.n_features))))
+        return FittedScreener(selected=FeatureSubset(tuple(range(dataset.n_features))))
     if spec.config is not None:
-        result = screen(train, spec.config)
+        result = screen(dataset, spec.config, rows)
         if result.leak_count:
             raise RuntimeError(
                 f"screen selected {result.leak_count} canary feature(s); "
@@ -129,24 +129,11 @@ def fit_screener(spec: ScreenerSpec, train: Dataset) -> FittedScreener:
         return FittedScreener(selected=result.selected)
     n_out = int(p["n_out"])
     if spec.name == "kbest":
-        return FittedScreener(selected=kbest_fscore(train, n_out))
+        return FittedScreener(selected=kbest_fscore(dataset, n_out, rows))
     if spec.name == "random":
-        return FittedScreener(selected=random_subset(train.n_features, n_out,
+        return FittedScreener(selected=random_subset(dataset.n_features, n_out,
                                                      int(p.get("seed", 20230125))))
-    return FittedScreener(pca=pca_fit(train, n_out))
-
-
-def knn_predict(train: Dataset, query, k: int) -> int:
-    """Majority label among the k nearest training rows (Euclidean).
-
-    Distance ties resolve to the smaller training index, vote ties to the
-    smaller class id.  A query holding NaN or inf is rejected.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (train.n_features,):
-        raise ValueError(f"expected a vector of length {train.n_features}")
-    return int(fit_classifier(ClassifierSpec("knn", {"k": k}), train.features, train.labels,
-                              train.n_classes).predict(q[None, :])[0])
+    return FittedScreener(pca=pca_fit(dataset, n_out, rows))
 
 
 def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
@@ -174,7 +161,8 @@ def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
 
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
                    n_classes: int) -> SimpleNamespace:
-    """A fitted classifier: an object whose ``predict`` maps rows to labels."""
+    """A fitted classifier: an object whose ``predict`` maps rows to labels; kNN keeps
+    the caller's float64 ``train_X`` itself, not a copy."""
     if spec.name == "majority":
         klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
         return SimpleNamespace(predict=lambda X: np.full(X.shape[0], klass, dtype=np.int64))
@@ -182,8 +170,8 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
         k = int(spec.params["k"])
         if not 1 <= k <= train_X.shape[0]:
             raise ValueError(f"knn k must be in 1..{train_X.shape[0]}")
-        X = np.array(train_X, dtype=np.float64)
-        y = np.array(train_y, dtype=np.int64)
+        X = np.asarray(train_X, dtype=np.float64)
+        y = np.asarray(train_y, dtype=np.int64)
         return SimpleNamespace(
             predict=lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64), k, n_classes))
     width = train_X.shape[1]
@@ -217,10 +205,10 @@ class EvaluationReport:
         return self.entries[self.best_index]
 
 
-def _timed_fit(screener: ScreenerSpec, train: Dataset) -> tuple[FittedScreener, float]:
+def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple[FittedScreener, float]:
     """``fit_screener`` and its CPU seconds; the identity screener costs exactly 0."""
     t0 = time.process_time()
-    fitted = fit_screener(screener, train)
+    fitted = fit_screener(screener, dataset, rows)
     return fitted, 0.0 if screener.name == "identity" else time.process_time() - t0
 
 
@@ -228,12 +216,9 @@ def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
     """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows."""
     fits = []
     for train_rows, _ in folds_idx:
-        labels = dataset.labels[train_rows]
-        if labels.min() == labels.max():
+        if np.ptp(dataset.labels[train_rows]) == 0:
             raise ValueError("a training fold holds a single class; cross-validation needs 2")
-        train = Dataset(features=dataset.features[train_rows], labels=labels,
-                        feature_names=dataset.feature_names)
-        fits.append(_timed_fit(screener, train))
+        fits.append(_timed_fit(screener, dataset, train_rows))
     return fits
 
 
@@ -243,11 +228,12 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
     """Fold-internal screening and classification; returns the cell entry.
 
     The screener only ever sees training rows, so the reported accuracy is
-    free of selection leakage.  ``fits``, one ``(FittedScreener, cpu_s)`` per
-    fold of ``folds_idx``, lets :func:`grid_search` share a screener's fits
-    across its classifier cells; without it the folds are fitted here.  A
-    cell's ``screening_cpu_s`` is the CPU time of its fits, so cells sharing
-    fits report the same figure; the identity screener reports exactly 0.
+    free of selection leakage; one fold's gathered matrices are alive at a
+    time.  ``fits``, one ``(FittedScreener, cpu_s)`` per fold of ``folds_idx``,
+    lets :func:`grid_search` share a screener's fits across its classifier
+    cells; without it the folds are fitted here.  A cell's ``screening_cpu_s``
+    is the CPU time of its fits, so cells sharing fits report the same figure;
+    the identity screener reports exactly 0.
     """
     if folds_idx is None:
         folds_idx = stratified_kfold(dataset, folds, seed)
@@ -267,8 +253,8 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
         t0 = time.process_time()
         clf = fit_classifier(classifier, train_X, dataset.labels[train_rows], dataset.n_classes)
         fitting_cpu += time.process_time() - t0
-        predictions = clf.predict(test_X)
-        accuracies.append(float(np.mean(predictions == dataset.labels[test_rows])))
+        accuracies.append(float(np.mean(clf.predict(test_X) == dataset.labels[test_rows])))
+        del train_X, test_X, clf  # free this fold's matrices before the next gather
     return ReportEntry(
         screener_id=screener.label(),
         classifier_id=classifier.label(),
@@ -295,9 +281,9 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
 
     Ties keep the earliest cell in grid order (screeners outer, classifiers
-    inner), so the result is deterministic.  One fold split serves every
-    cell.  Each screener is fitted once per fold and the fits are shared by
-    its classifier cells, so a PCA screener holds one ``PcaModel`` per fold
+    inner), so the result is deterministic.  One fold split of row sets serves
+    every cell.  Each screener is fitted once per fold and the fits are shared
+    by its classifier cells, so a PCA screener holds one ``PcaModel`` per fold
     (p x n_out floats each) while they run.
     """
     screener_grid = list(screener_grid)

@@ -124,41 +124,43 @@ def partition_features(permutation, step_size: int) -> list[np.ndarray]:
     return [perm[i * step_size:min((i + 1) * step_size, n)] for i in range(m)]
 
 
-def canary_block(dataset: Dataset, n_canaries: int, seed: int) -> Dataset:
-    """Seeded standard-normal noise columns over the dataset's rows, named apart from its own."""
+def canary_block(dataset: Dataset, n_canaries: int, seed: int, rows=slice(None)) -> Dataset:
+    """Seeded standard-normal noise columns over ``rows`` (all by default), named apart."""
     names = tuple(f"canary_{i + 1:04d}" for i in range(n_canaries))
     clash = set(names) & set(dataset.feature_names)
     if clash:
         raise ValueError(f"dataset already contains canary-reserved names: {sorted(clash)}")
-    noise = stream(seed, _CANARY_STREAM).standard_normal((dataset.n_samples, n_canaries))
-    return Dataset(noise, dataset.labels, names)
+    labels = dataset.labels[rows]
+    noise = stream(seed, _CANARY_STREAM).standard_normal((labels.shape[0], n_canaries))
+    return Dataset(noise, labels, names)
 
 
-def _pool_dataset(dataset: Dataset, canaries: Dataset, names, pool) -> Dataset:
-    """The pool's columns in pool order, gathered from the table and the canary block."""
+def _pool_dataset(dataset: Dataset, rows, canaries: Dataset, names, pool) -> Dataset:
+    """The pool's columns over ``rows`` in pool order, from the table and the canary block."""
     real = pool < dataset.n_features
-    features = np.empty((dataset.n_samples, pool.shape[0]), order="F")
-    features[:, real] = dataset.features[:, pool[real]]
+    features = np.empty((len(rows), pool.shape[0]), order="F")
+    features[:, real] = dataset.features[np.ix_(rows, pool[real])]
     features[:, ~real] = canaries.features[:, pool[~real] - dataset.n_features]
-    return Dataset(features, dataset.labels, tuple(names[i] for i in pool))
+    return Dataset(features, canaries.labels, tuple(names[i] for i in pool))
 
 
-def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> ScreeningResult:
-    """Run the full multiround screen and return the ordered survivors.
+def screen(dataset: Dataset, config: ScreeningConfig, rows=None, n_threads=1) -> ScreeningResult:
+    """Run the full multiround screen over ``rows`` (all by default); return the survivors.
 
     Within a round, importance ties are broken toward the smallest feature
     id so the whole run is reproducible.  Rounds are strictly sequential.
-    The canaries stay apart: a screen holds its input plus one round's pool.
-    ``n_threads`` is accepted for existing callers and has no effect: all
-    trees of a forest already grow in one lockstep batch.
+    Neither the table nor its rows are copied: a screen holds its input plus
+    one round's pool.  ``n_threads`` is accepted for existing callers and has
+    no effect: all trees of a forest already grow in one lockstep batch.
     """
     t_wall = time.perf_counter()
     t_cpu = time.process_time()
 
-    if np.unique(dataset.labels).size < 2:
+    rows = np.arange(dataset.n_samples) if rows is None else rows
+    canaries = canary_block(dataset, config.n_canaries, config.seed, rows)
+    if np.unique(canaries.labels).size < 2:
         raise ValueError("screening needs at least 2 classes; got a single-class dataset")
     config.forest.validate()
-    canaries = canary_block(dataset, config.n_canaries, config.seed)
     names = dataset.feature_names + canaries.feature_names
     n = len(names)
     if config.step_size > n:
@@ -178,7 +180,7 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
             n_subfeatures=min(config.forest.n_subfeatures, pool.shape[0]),
             seed=derive_seed(config.seed, _ROUND_STREAM, i),
         )
-        model = train_forest(_pool_dataset(dataset, canaries, names, pool), round_params)
+        model = train_forest(_pool_dataset(dataset, rows, canaries, names, pool), round_params)
         importance = selection_frequency(model)
         order = np.lexsort((pool, -importance))
         selected = pool[order[:config.reduced_size]]
@@ -200,8 +202,8 @@ def screen(dataset: Dataset, config: ScreeningConfig, n_threads: int = 1) -> Scr
         canary_ids=tuple(range(dataset.n_features, n)),
         feature_names=names,
         n_features_input=dataset.n_features,
-        n_samples=dataset.n_samples,
-        n_classes=dataset.n_classes,
+        n_samples=canaries.n_samples,
+        n_classes=canaries.n_classes,
         wall_time_s=time.perf_counter() - t_wall,
         cpu_time_s=time.process_time() - t_cpu,
     )

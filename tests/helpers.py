@@ -7,6 +7,7 @@ library code paths they check.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -19,6 +20,16 @@ def mask_timing(doc):
     if "timing" in doc:
         doc["timing"] = {key: 0.0 for key in doc["timing"]}
     return doc
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_dataset(X, y, names=None):

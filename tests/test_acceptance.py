@@ -16,10 +16,11 @@ from helpers import (make_dataset, mask_timing, oracle_best_split, oracle_f_scor
                      oracle_knn, random_split_instance)
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, best_split, convergence_sweep, cross_validate,
-                      f_scores, generate, knn_predict, partition_features,
-                      permute_features, random_subset, screen, selection_frequency,
-                      train_forest, truth_overlap)
+                      f_scores, generate, partition_features, permute_features,
+                      random_subset, screen, selection_frequency, train_forest,
+                      truth_overlap)
 from rfscreen.cli import main
+from rfscreen.evaluate import fit_classifier
 from rfscreen.serialize import dumps, read_json
 
 ACC_GENERATOR = GeneratorConfig(
@@ -97,10 +98,10 @@ def test_criterion_2_oracle_equivalence(capsys):
     train_X = rng.normal(size=(50, 4))
     train_y = rng.integers(1, 4, size=50)
     train_y[:3] = [1, 2, 3]
-    train = make_dataset(train_X, train_y)
+    knn = fit_classifier(ClassifierSpec("knn", {"k": 5}), train_X, train_y, int(train_y.max()))
     knn_mismatches = 0
     for q in rng.normal(size=(100, 4)):
-        if knn_predict(train, q, k=5) != oracle_knn(train_X, train_y, q, 5):
+        if knn.predict(q[None, :])[0] != oracle_knn(train_X, train_y, q, 5):
             knn_mismatches += 1
 
     fx = rng.normal(size=(30, 10))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, oracle_f_scores
-from rfscreen import f_scores, kbest_fscore, pca_fit, pca_transform, random_subset
+from rfscreen import (GeneratorConfig, baselines, f_scores, generate, kbest_fscore, pca_fit,
+                      pca_transform, random_subset, stratified_kfold)
 
 
 class TestFScores:
@@ -74,6 +75,39 @@ def _diag_cov_dataset():
     b = np.sqrt(1.5)
     X = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
     return make_dataset(X, [1, 2, 1, 2])
+
+
+class TestBlockScoring:
+    """F-scores of a fold's rows, scored in column blocks gathered from the one table,
+    keep the bits of the fold's own table, whatever the block width."""
+
+    @staticmethod
+    def _table(seed):
+        ds, _ = generate(GeneratorConfig(
+            n_classes=3 + seed % 3, n_samples_per_class=10 + seed, n_true_features=4,
+            n_fake_features=4, min_usefulness=0.4, max_usefulness=1.0,
+            n_features_out=40 + 17 * seed, min_count=1, max_count=2, seed=700 + seed))
+        X = ds.features.copy()
+        if seed % 2:
+            X[:, ::4] = np.round(X[:, ::4])  # few values: ties in every class
+            X[:, 5] = 0.25                   # constant
+            X[ds.labels == 1, 7] = 1.0       # constant within one class
+        return make_dataset(X, ds.labels)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fold_scores_match_the_fold_table(self, monkeypatch, seed, width):
+        ds = self._table(seed)
+        whole = f_scores(ds)
+        folds = stratified_kfold(ds, 3, seed)
+        # each fold table is narrower than one default block, so it is scored as a whole
+        expected = [f_scores(make_dataset(ds.features[rows], ds.labels[rows]))
+                    for rows, _ in folds]
+        if width is not None:  # blocks of about `width` columns, and never 1
+            monkeypatch.setattr(baselines, "_BLOCK_BYTES", 8 * len(folds[0][0]) * width)
+        for (rows, _), want in zip(folds, expected):
+            assert np.array_equal(f_scores(ds, rows), want)
+        assert np.array_equal(f_scores(ds), whole)
 
 
 class TestPca:

@@ -255,7 +255,7 @@ class TestEvaluate:
         assert main(["screen", "--data", str(workspace / "data.csv"), "--config", str(cfg),
                      "--out", str(out)]) == 0
         monkeypatch.setattr(evaluate, "fit_screener",
-                            lambda spec, train: pytest.fail("a fold screener was fitted"))
+                            lambda *args: pytest.fail("a fold screener was fitted"))
         before = sorted(workspace.iterdir())
         code = main(["evaluate", "--data", str(workspace / "data.csv"), "--result", str(out),
                      "--leak-safe", "--out", str(workspace / "never")])
@@ -323,8 +323,8 @@ class TestSweep:
                              encoding="utf-8")
         swept, screened = [], []
         real_screen = evaluate.screen
-        monkeypatch.setattr(evaluate, "screen",
-                            lambda ds, config: real_screen(ds, swept.append(config) or config))
+        monkeypatch.setattr(evaluate, "screen", lambda ds, config, rows: real_screen(
+            ds, swept.append(config) or config, rows))
         monkeypatch.setattr(cli, "screen",
                             lambda ds, config: real_screen(ds, screened.append(config) or config))
         data = str(workspace / "data.csv")

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_knn
+from helpers import make_dataset, oracle_knn, traced_peak
 from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig,
                       convergence_sweep, cross_validate, evaluate, fit_screener, grid_search,
-                      kbest_fscore, knn_predict, pca_fit, pca_transform, reduce_full,
-                      stratified_kfold)
+                      kbest_fscore, pca_fit, pca_transform, reduce_full, stratified_kfold)
 from rfscreen.evaluate import fit_classifier
 
 
@@ -28,20 +27,30 @@ def _blobs(seed=0, n=60, f=5, k=3, spread=1.0):
     return make_dataset(X, y)
 
 
+def _knn(ds, k):
+    """kNN with ``k`` neighbours fitted on every row of ``ds``."""
+    return fit_classifier(ClassifierSpec("knn", {"k": k}), ds.features, ds.labels, ds.n_classes)
+
+
+def _predict_one(clf, query) -> int:
+    """The label of one query row."""
+    return int(clf.predict(np.asarray(query, dtype=float)[None, :])[0])
+
+
 class TestKnnPredict:
     def test_exact_match_with_k1(self):
         ds = _blobs(seed=1)
         for j in (0, 13, 40):
-            assert knn_predict(ds, ds.features[j], k=1) == ds.labels[j]
+            assert _predict_one(_knn(ds, 1), ds.features[j]) == ds.labels[j]
 
     def test_vote_tie_prefers_smaller_class(self):
         ds = make_dataset([[0.0], [2.0]], [2, 1])
-        assert knn_predict(ds, [1.0], k=2) == 1
+        assert _predict_one(_knn(ds, 2), [1.0]) == 1
 
     def test_distance_tie_prefers_smaller_index(self):
         ds = make_dataset([[1.0], [-1.0], [5.0]], [3, 1, 2])
         # both first rows are at distance 1 from the query; index 0 wins the vote
-        assert knn_predict(ds, [0.0], k=1) == 3
+        assert _predict_one(_knn(ds, 1), [0.0]) == 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_distance_sort_oracle(self, seed):
@@ -49,16 +58,16 @@ class TestKnnPredict:
         X = rng.normal(size=(50, 4))
         y = rng.integers(1, 4, size=50)
         y[:3] = [1, 2, 3]
-        ds = make_dataset(X, y)
+        clf = _knn(make_dataset(X, y), 5)
         for q in rng.normal(size=(25, 4)):
-            assert knn_predict(ds, q, k=5) == oracle_knn(X, y, q, 5)
+            assert _predict_one(clf, q) == oracle_knn(X, y, q, 5)
 
     def test_bounds(self):
         ds = make_dataset([[0.0]], [1])
         with pytest.raises(ValueError):
-            knn_predict(ds, [0.0], k=2)
+            _knn(ds, 2)
         with pytest.raises(ValueError):
-            knn_predict(ds, [0.0, 1.0], k=1)
+            _predict_one(_knn(ds, 1), [0.0, 1.0])
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,9 +75,9 @@ class TestKnnPredict:
         ds = _blobs(seed=2)
         q = ds.features[0].copy()
         q[1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            knn_predict(ds, q, k=3)
         clf = fit_classifier(ClassifierSpec("knn", {"k": 3}), ds.features, ds.labels, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            _predict_one(clf, q)
         with pytest.raises(ValueError, match="non-finite"):
             clf.predict(np.vstack([ds.features[:2], q]))
 
@@ -85,11 +94,10 @@ class TestKnnScreen:
     @staticmethod
     def _check(X, y, queries, ks):
         X, y, queries = np.asarray(X, float), np.asarray(y), np.asarray(queries, float)
-        ds = make_dataset(X, y)
         for k in ks:
             expected = [oracle_knn(X, y, q, k) for q in queries]
-            assert [knn_predict(ds, q, k) for q in queries] == expected
             clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X, y, int(y.max()))
+            assert [_predict_one(clf, q) for q in queries] == expected
             assert clf.predict(queries).tolist() == expected
 
     def test_duplicated_rows_straddle_the_cut(self):
@@ -365,9 +373,9 @@ class TestGridSearch:
         ds = _blobs(seed=20, f=6)
         fitted = []
 
-        def counting(spec, train):
+        def counting(spec, *args):
             fitted.append(spec.label())
-            return fit_screener(spec, train)
+            return fit_screener(spec, *args)
 
         monkeypatch.setattr(evaluate, "fit_screener", counting)
         screeners = [ScreenerSpec("kbest", {"n_out": 2}), ScreenerSpec("pca", {"n_out": 2})]
@@ -393,6 +401,56 @@ class TestGridSearch:
         ds = _blobs(seed=14)
         with pytest.raises(ValueError):
             grid_search(ds, [], [ClassifierSpec("majority")], folds=2, seed=0)
+
+
+def _shifted_table(n_rows, n_cols):
+    """Normal noise over 10 classes, with the first 5 columns shifted by the class id."""
+    rng = np.random.default_rng(61)
+    y = np.repeat(np.arange(1, 11), n_rows // 10)
+    X = rng.normal(size=(n_rows, n_cols))
+    X[:, :5] += y[:, None]
+    return make_dataset(X, y)
+
+
+class TestMemory:
+    """Leak-safe evaluation of a wide table copies no table per fold.
+
+    A fold is a row set over the one table: beyond its input a kbest grid holds one
+    score block and an rfms grid one round's pool, well under half the table, and a
+    full-width kNN cell one fold's train and test gathers, 1.0 of the table, plus the
+    identity fits' id tuples and the kNN distance blocks.
+    """
+
+    KNN = ClassifierSpec("knn", {"k": 1})
+
+    @pytest.fixture(scope="class", autouse=True)
+    def warm(self):
+        # first calls import modules lazily; keep those bytes out of the peaks
+        grid_search(_shifted_table(50, 30), [ScreenerSpec("kbest", {"n_out": 5}),
+                                             ScreenerSpec("identity"), _rfms(3)],
+                    [self.KNN], folds=5, seed=1)
+
+    @pytest.fixture(scope="class")
+    def paper_shape(self):
+        return _shifted_table(400, 10_000)
+
+    def test_kbest_grid_holds_less_than_half_the_table(self, paper_shape):
+        peak = traced_peak(lambda: grid_search(
+            paper_shape, [ScreenerSpec("kbest", {"n_out": 20})], [self.KNN], folds=5, seed=2))
+        assert peak < paper_shape.features.nbytes / 2
+
+    def test_rfms_grid_holds_less_than_half_the_table(self):
+        ds = _shifted_table(100, 3000)
+        rfms = ScreenerSpec("rfms", config=ScreeningConfig(
+            step_size=750, reduced_size=10, seed=8,
+            forest=ForestParams(n_trees=2, n_subfeatures=8, min_samples_leaf=3)))
+        peak = traced_peak(lambda: grid_search(ds, [rfms], [self.KNN], folds=2, seed=2))
+        assert peak < ds.features.nbytes / 2
+
+    def test_full_width_knn_cell_holds_one_fold(self, paper_shape):
+        peak = traced_peak(lambda: cross_validate(paper_shape, ScreenerSpec("identity"),
+                                                  self.KNN, folds=5, seed=2))
+        assert peak < 1.1 * paper_shape.features.nbytes
 
 
 class TestConvergenceSweep:

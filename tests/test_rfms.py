@@ -1,11 +1,9 @@
 """Multiround screening: permutation, partition, rounds, canary audit, memory."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import make_dataset, mask_timing
+from helpers import make_dataset, mask_timing, traced_peak
 from rfscreen import (FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
                       cli,
                       partition_features, permute_features, screen,
@@ -209,16 +207,6 @@ class TestCanaries:
         assert fixture.leak_count == 2
 
 
-def _traced_peak(run) -> int:
-    """Peak bytes that tracemalloc sees while ``run()`` executes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """A short, wide table screened with 100 canaries: no copy of the table is made.
 
@@ -246,10 +234,10 @@ class TestMemory:
     def test_screen_holds_less_than_half_the_table(self, wide):
         config = ScreeningConfig(step_size=250, reduced_size=20, n_canaries=100, seed=8,
                                  forest=_forest(n_trees=2, n_subfeatures=8, min_samples_leaf=3))
-        peak = _traced_peak(lambda: screen(wide, config))
+        peak = traced_peak(lambda: screen(wide, config))
         assert peak < wide.features.nbytes / 2
 
     def test_kbest_screen_holds_less_than_half_the_table(self, wide):
         spec = ScreenerSpec("kbest", {"n_out": 20, "seed": 8})
-        peak = _traced_peak(lambda: cli._screen_baseline(wide, spec, self.KBEST_CFG))
+        peak = traced_peak(lambda: cli._screen_baseline(wide, spec, self.KBEST_CFG))
         assert peak < wide.features.nbytes / 2
