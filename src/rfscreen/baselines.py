@@ -15,7 +15,7 @@ from .data import Dataset, FeatureSubset
 from .rng import stream
 
 _RANDOM_SUBSET_STREAM = 0x5AB
-_BLOCK_BYTES = 1 << 20  # the gathered rows of one F-score column block
+_BLOCK_BYTES = 1 << 20  # an F-score column block gathers 1 to 2 times this
 
 
 def f_scores(dataset: Dataset, rows=None) -> np.ndarray:
