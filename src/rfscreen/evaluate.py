@@ -3,10 +3,11 @@
 ``cross_validate`` is leak-safe: a fold is a pair of row-index arrays over
 the one table, the screener is fitted on its training rows only, and both
 portions are gathered once reduced.  :func:`grid_search` fits each screener
-once per fold and shares the fits across its classifier cells.  The
-screen-once protocol, the command-line ``evaluate`` default, is
-:func:`reduce_full` followed by :func:`screen_once_report`.  kNN screens
-neighbours with one matmul per call and re-scores the rows near its cut
+once per fold and shares the fits across its classifier cells; its kNN and
+majority cells share each fold's gather, and all its kNN cells one neighbour
+search per fold.  The screen-once protocol, the command-line ``evaluate``
+default, is :func:`reduce_full` followed by :func:`screen_once_report`.  kNN
+screens neighbours with one matmul and re-scores the rows near its cut
 exactly.  CPU cost is split into screening seconds (the reduction fits a cell
 uses, shared or not) and fitting seconds (classifier training), both measured
 as process CPU time.
@@ -136,11 +137,20 @@ def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScree
     return FittedScreener(pca=pca_fit(dataset, n_out, rows))
 
 
-def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
+def _vote(labels: np.ndarray) -> np.ndarray:
+    """Each row's most frequent label, by one ``bincount``; ties go to the smallest class id."""
+    n, width = labels.shape[0], int(labels.max(initial=0)) + 1
+    counts = np.bincount((labels + width * np.arange(n)[:, None]).ravel(), minlength=n * width)
+    return counts.reshape(n, width).argmax(axis=1)
+
+
+def _neighbours(train_X, train_y, queries, k) -> np.ndarray:
+    """Labels of each query's ``k`` nearest training rows, nearest first."""
     # Screen: one matmul gives the proxy |q|^2 + |x|^2 - 2 q.x, within tol of the
     # exact distance (the sum of diff*diff over one row) in any summation order
     # by Higham's gamma_d bound.  Rows within 2 tol of the k-th proxy, or whose
     # proxy or cut overflowed, are re-scored exactly; ties go to the lower row.
+    # A larger k keeps a superset of rows, so the first j columns are the j-NN.
     if not np.isfinite(queries).all():
         raise ValueError("kNN query holds a non-finite value (NaN or inf)")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,22 +159,22 @@ def _knn_batch(train_X, train_y, queries, k, n_classes) -> np.ndarray:
         tol = 4 * (train_X.shape[1] + 1) * np.finfo(np.float64).eps * (q_sq + x_sq.max())
         cut = np.partition(proxy, k - 1, axis=1)[:, k - 1] + 2.0 * tol
     keep = (proxy <= np.where(np.isfinite(cut), cut, np.inf)[:, None]) | ~np.isfinite(proxy)
-    out = np.empty(queries.shape[0], dtype=np.int64)
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
     for i, q in enumerate(queries):
         rows = np.flatnonzero(keep[i])
         diffs = train_X[rows]  # (x - q)**2 has the bits of (q - x)**2
         dist2 = np.sum(np.square(np.subtract(diffs, q, out=diffs), out=diffs), axis=1)
-        nearest = train_y[rows[np.argsort(dist2, kind="stable")[:k]]]
-        out[i] = np.argmax(np.bincount(nearest, minlength=n_classes + 1))
+        out[i] = train_y[rows[np.argsort(dist2, kind="stable")[:k]]]
     return out
 
 
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
                    n_classes: int) -> SimpleNamespace:
-    """A fitted classifier: an object whose ``predict`` maps rows to labels; kNN keeps
-    the caller's float64 ``train_X`` itself, not a copy."""
+    """A fitted classifier: an object whose ``predict`` maps rows to labels.  kNN keeps
+    the caller's float64 ``train_X`` itself, and its ``neighbours`` maps rows to the
+    labels of their ``k`` nearest training rows, nearest first."""
     if spec.name == "majority":
-        klass = int(np.argmax(np.bincount(train_y, minlength=n_classes + 1)))
+        klass = int(_vote(np.asarray(train_y)[None, :])[0])
         return SimpleNamespace(predict=lambda X: np.full(X.shape[0], klass, dtype=np.int64))
     if spec.name == "knn":
         k = int(spec.params["k"])
@@ -172,8 +182,11 @@ def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarra
             raise ValueError(f"knn k must be in 1..{train_X.shape[0]}")
         X = np.asarray(train_X, dtype=np.float64)
         y = np.asarray(train_y, dtype=np.int64)
-        return SimpleNamespace(
-            predict=lambda Q: _knn_batch(X, y, np.asarray(Q, dtype=np.float64), k, n_classes))
+        # predict calls this closure, not clf.neighbours: a self-referring namespace
+        # would keep X alive after ``del clf``
+        def neighbours(Q):
+            return _neighbours(X, y, np.asarray(Q, dtype=np.float64), k)
+        return SimpleNamespace(neighbours=neighbours, predict=lambda Q: _vote(neighbours(Q)))
     width = train_X.shape[1]
     train = Dataset(features=train_X, labels=train_y,
                     feature_names=tuple(f"c{i}" for i in range(width)))
@@ -205,11 +218,16 @@ class EvaluationReport:
         return self.entries[self.best_index]
 
 
+def _timed(fit, *args) -> tuple:
+    """``fit(*args)`` and its CPU seconds."""
+    t0 = time.process_time()
+    return fit(*args), time.process_time() - t0
+
+
 def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple[FittedScreener, float]:
     """``fit_screener`` and its CPU seconds; the identity screener costs exactly 0."""
-    t0 = time.process_time()
-    fitted = fit_screener(screener, dataset, rows)
-    return fitted, 0.0 if screener.name == "identity" else time.process_time() - t0
+    fitted, cpu = _timed(fit_screener, screener, dataset, rows)
+    return fitted, 0.0 if screener.name == "identity" else cpu
 
 
 def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
@@ -222,47 +240,61 @@ def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
     return fits
 
 
+def _fold_pass(dataset: Dataset, classifiers, folds_idx, fits) -> list:
+    """Per classifier, one ``(test labels, fitting cpu_s)`` per fold: each fold is
+    gathered once for all of them, and the kNN ones vote over prefixes of one
+    neighbour search at their largest ``k``, sharing that fit's CPU time."""
+    widest = max((c for c in classifiers if c.name == "knn"), default=None,
+                 key=lambda c: int(c.params["k"]))
+    out = [[] for _ in classifiers]
+    for (train_rows, test_rows), (fitted, _) in zip(folds_idx, fits, strict=True):
+        train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows]) if fitted.transforming
+                           else dataset.features[np.ix_(rows, fitted.selected.indices)]
+                           for rows in (train_rows, test_rows))
+        train = (train_X, dataset.labels[train_rows], dataset.n_classes)
+        if widest is not None:
+            clf, knn_cpu = _timed(fit_classifier, widest, *train)
+            nearest = clf.neighbours(test_X)
+        for spec, cells in zip(classifiers, out):
+            if spec.name == "knn":
+                cells.append((_vote(nearest[:, :int(spec.params["k"])]), knn_cpu))
+            else:
+                clf, cpu = _timed(fit_classifier, spec, *train)
+                cells.append((clf.predict(test_X), cpu))
+        del train_X, test_X, train, clf  # free this fold's matrices before the next gather
+    return out
+
+
 def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: ClassifierSpec,
                    folds: int = 5, seed: int = 20230125, folds_idx=None, *,
-                   fits=None) -> ReportEntry:
+                   fits=None, predictions=None) -> ReportEntry:
     """Fold-internal screening and classification; returns the cell entry.
 
     The screener only ever sees training rows, so the reported accuracy is
-    free of selection leakage; one fold's gathered matrices are alive at a
-    time.  ``fits``, one ``(FittedScreener, cpu_s)`` per fold of ``folds_idx``,
-    lets :func:`grid_search` share a screener's fits across its classifier
-    cells; without it the folds are fitted here.  A cell's ``screening_cpu_s``
-    is the CPU time of its fits, so cells sharing fits report the same figure;
-    the identity screener reports exactly 0.
+    free of selection leakage.  :func:`grid_search` shares work across cells
+    through ``fits``, one ``(FittedScreener, cpu_s)`` per fold of ``folds_idx``,
+    and ``predictions``, one ``(test labels, fitting cpu_s)`` per fold; without
+    them the folds are fitted here and the fold pass runs for this classifier
+    alone, one fold's matrices at a time.  A cell's ``screening_cpu_s`` is the
+    CPU time of its fits, so cells sharing fits report the same figure; the
+    identity screener reports exactly 0.
     """
     if folds_idx is None:
         folds_idx = stratified_kfold(dataset, folds, seed)
     if fits is None:
         fits = _fit_folds(dataset, screener, folds_idx)
-    accuracies = []
-    fitting_cpu = 0.0
-    n_out = dataset.n_features
-    for (train_rows, test_rows), (fitted, _) in zip(folds_idx, fits, strict=True):
-        n_out = fitted.n_out
-        if fitted.pca is None:
-            train_X, test_X = (dataset.features[np.ix_(rows, fitted.selected.indices)]
-                               for rows in (train_rows, test_rows))
-        else:
-            train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows])
-                               for rows in (train_rows, test_rows))
-        t0 = time.process_time()
-        clf = fit_classifier(classifier, train_X, dataset.labels[train_rows], dataset.n_classes)
-        fitting_cpu += time.process_time() - t0
-        accuracies.append(float(np.mean(clf.predict(test_X) == dataset.labels[test_rows])))
-        del train_X, test_X, clf  # free this fold's matrices before the next gather
+    if predictions is None:
+        predictions = _fold_pass(dataset, [classifier], folds_idx, fits)[0]
+    accuracies = [float(np.mean(labels == dataset.labels[test_rows]))
+                  for (_, test_rows), (labels, _) in zip(folds_idx, predictions, strict=True)]
     return ReportEntry(
         screener_id=screener.label(),
         classifier_id=classifier.label(),
-        n_features_out=n_out,
+        n_features_out=fits[-1][0].n_out,
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         screening_cpu_s=sum(cpu for _, cpu in fits),
-        fitting_cpu_s=fitting_cpu,
+        fitting_cpu_s=sum(cpu for _, cpu in predictions),
     )
 
 
@@ -284,17 +316,23 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     inner), so the result is deterministic.  One fold split of row sets serves
     every cell.  Each screener is fitted once per fold and the fits are shared
     by its classifier cells, so a PCA screener holds one ``PcaModel`` per fold
-    (p x n_out floats each) while they run.
+    (p x n_out floats each) while they run.  Its kNN and majority cells then
+    share one fold pass, with one neighbour search per fold at the largest
+    ``k``, before any cell is measured; rf cells run their own pass after it.
+    Every cell is measured by :func:`cross_validate`, in grid order.
     """
     screener_grid = list(screener_grid)
     classifier_grid = list(classifier_grid)
     if not screener_grid or not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
     folds_idx = stratified_kfold(dataset, folds, seed)
+    shared = [c for c in classifier_grid if c.name != "rf"]
     entries = []
     for s_spec in screener_grid:
         fits = _fit_folds(dataset, s_spec, folds_idx)
-        entries += [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits)
+        passes = iter(_fold_pass(dataset, shared, folds_idx, fits) if shared else ())
+        entries += [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits,
+                                   predictions=None if c_spec.name == "rf" else next(passes))
                     for c_spec in classifier_grid]
     # Highest mean accuracy; max() keeps the earliest of tied cells.
     best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)

@@ -173,6 +173,41 @@ class TestKnnScreen:
         assert labels[:5].tolist() == [oracle_knn(X, y, q, 5) for q in queries[:5]]
 
 
+class TestSharedNeighbourSearch:
+    """A grid's kNN cells vote over prefixes of one neighbour search at the largest k.
+
+    Three-valued columns and duplicated rows make exact distance ties common,
+    so each k's cut falls inside a tie; every prefix must still give the labels
+    of that k's own classifier and of the distance-sort oracle.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefix_votes_equal_each_k_and_the_oracle(self, seed, monkeypatch):
+        rng = np.random.default_rng(700 + seed)
+        X = rng.integers(0, 3, size=(36, int(rng.integers(2, 6)))).astype(float)
+        X[18:] = X[rng.integers(0, 18, size=18)]  # every later row repeats an earlier one
+        ds = make_dataset(X, rng.integers(1, 5, size=36))
+        ks = [int(k) for k in rng.permutation(np.arange(1, 10))]
+        grid = [ClassifierSpec("knn", {"k": k}) for k in ks] + [ClassifierSpec("majority")]
+        shared = []
+        cross_validate_fn = evaluate.cross_validate
+
+        def recording(*args, **kwargs):
+            shared.append(kwargs["predictions"])
+            return cross_validate_fn(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "cross_validate", recording)
+        grid_search(ds, [ScreenerSpec("identity")], grid, folds=3, seed=seed)
+        for k, cell in zip(ks, shared):
+            for (train_rows, test_rows), (labels, _) in zip(
+                    stratified_kfold(ds, 3, seed), cell, strict=True):
+                train_X, train_y = X[train_rows], ds.labels[train_rows]
+                clf = fit_classifier(ClassifierSpec("knn", {"k": k}), train_X, train_y, 4)
+                assert labels.tolist() == clf.predict(X[test_rows]).tolist()
+                assert labels.tolist() == [oracle_knn(train_X, train_y, q, k)
+                                           for q in X[test_rows]]
+
+
 class TestFitScreener:
     def test_random_seed_defaults_to_the_library_seed(self):
         ds = _blobs(seed=11, f=20)
@@ -389,6 +424,63 @@ class TestGridSearch:
             cells = report.entries[first:first + 3]
             assert len({e.screening_cpu_s for e in cells}) == 1
 
+    @pytest.mark.parametrize("rf_first", [False, True])
+    def test_shared_cells_gather_each_fold_once_before_rf(self, rf_first, monkeypatch):
+        ds = _blobs(seed=24, n=45, f=6)
+        rf = ClassifierSpec("rf", forest=ForestParams(n_trees=3, n_subfeatures=2, seed=1))
+        grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
+        grid = [rf] + grid if rf_first else grid + [rf]
+        screeners = [ScreenerSpec("kbest", {"n_out": 3}), ScreenerSpec("pca", {"n_out": 2})]
+        events, gathers = [], []
+        fit_fn, neighbours_fn, cross_validate_fn = (
+            evaluate.fit_classifier, evaluate._neighbours, evaluate.cross_validate)
+
+        def fitting(spec, train_X, *args):
+            events.append(("fit", spec.label()))
+            gathers.append((events[-1], train_X))
+            return fit_fn(spec, train_X, *args)
+
+        def searching(train_X, train_y, queries, k):
+            events.append(("search", k))
+            gathers.append((events[-1], train_X))
+            return neighbours_fn(train_X, train_y, queries, k)
+
+        def cell(dataset, s_spec, c_spec, *args, **kwargs):
+            events.append(("cell", c_spec.label()))
+            return cross_validate_fn(dataset, s_spec, c_spec, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "fit_classifier", fitting)
+        monkeypatch.setattr(evaluate, "_neighbours", searching)
+        monkeypatch.setattr(evaluate, "cross_validate", cell)
+        report = grid_search(ds, screeners, grid, folds=3, seed=6)
+        shared_pass = [("fit", "knn(k=5)"), ("search", 5), ("fit", "majority")] * 3
+        cells = [e for c in grid for e in [("cell", c.label())]
+                 + [("fit", "rf(n_trees=3)")] * (3 if c is rf else 0)]
+        assert events == (shared_pass + cells) * 2
+        # the shared pass's three calls per fold all see that fold's one gather
+        shared = [x for event, x in gathers if event != ("fit", "rf(n_trees=3)")]
+        for fold in range(6):
+            assert all(x is shared[3 * fold] for x in shared[3 * fold:3 * fold + 3])
+        assert len({id(x) for x in shared}) == 6
+        assert [(e.screener_id, e.classifier_id) for e in report.entries] == [
+            (s.label(), c.label()) for s in screeners for c in grid]
+
+    def test_knn_k_above_a_training_fold_fails_before_any_cell(self, monkeypatch):
+        ds = _blobs(seed=25, n=30)  # 3 folds of 18 to 21 training rows
+        cells = []
+        cross_validate_fn = evaluate.cross_validate
+
+        def recording(*args, **kwargs):
+            cells.append(cross_validate_fn(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(evaluate, "cross_validate", recording)
+        grid = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("majority"),
+                ClassifierSpec("knn", {"k": 22})]
+        with pytest.raises(ValueError, match=r"knn k must be in 1\.\.18"):
+            grid_search(ds, [ScreenerSpec("identity")], grid, folds=3, seed=1)
+        assert cells == []
+
     def test_folds_below_two_rejected(self):
         ds = _blobs(seed=21)
         with pytest.raises(ValueError, match="folds must be at least 2"):
@@ -450,6 +542,12 @@ class TestMemory:
     def test_full_width_knn_cell_holds_one_fold(self, paper_shape):
         peak = traced_peak(lambda: cross_validate(paper_shape, ScreenerSpec("identity"),
                                                   self.KNN, folds=5, seed=2))
+        assert peak < 1.1 * paper_shape.features.nbytes
+
+    def test_full_width_knn_grid_holds_one_fold(self, paper_shape):
+        grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
+        peak = traced_peak(lambda: grid_search(paper_shape, [ScreenerSpec("identity")], grid,
+                                               folds=5, seed=2))
         assert peak < 1.1 * paper_shape.features.nbytes
 
 
