@@ -39,6 +39,18 @@ def make_dataset(X, y, names=None):
     return Dataset(features=X, labels=np.asarray(y, dtype=np.int64), feature_names=names)
 
 
+def tied_table(seed):
+    """45 rows, 3 classes, 30 columns at shuffled positions whose F-scores tie: 8 columns
+    repeat others and 3 are constant, beside shifted, three-valued and noise columns."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([1, 2, 3], 15)
+    base = rng.normal(size=(45, 19))
+    base[:, :6] += rng.uniform(0.3, 1.2, size=6) * y[:, None]
+    base[:, 6:10] = rng.integers(0, 3, size=(45, 4))
+    X = np.column_stack([base, base[:, rng.choice(19, 8, replace=False)], np.full((45, 3), 1.5)])
+    return make_dataset(X[:, rng.permutation(30)], y)
+
+
 def oracle_write_csv(features, labels, names, path, label_column="label"):
     """The standard CSV form cell by cell through ``csv.writer``: ``repr`` of
     each float, the label as an int, the label column first."""

@@ -1,4 +1,4 @@
-"""Golden outputs: a forest, screens, kNN labels, sweep cells, rf and screen documents,
+"""Golden outputs: a forest, screens, kNN labels, sweep rows and cells, rf and screen documents,
 and the cells and per-fold fits of two leak-safe grids over a wide table.
 
 The determinism tests elsewhere compare one run with another run, so a
@@ -6,7 +6,8 @@ change in the order in which trees consume their random streams would pass
 them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
 labels from the difference-tensor kNN, the sweep cells from the harness
-that refitted each fold's screener once per cell, the rf classifier documents from the
+that refitted each fold's screener once per cell, the screen-once sweep from the harness
+that screened the whole table once per count, the rf classifier documents from the
 classifier that read its knobs with library defaults, the CLI screen documents from
 the screens that built a canary-augmented copy of the table, the wide grids from the
 harness that copied each training fold into its own Dataset), and must pass unchanged for as
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_dataset, mask_timing
+from helpers import make_dataset, mask_timing, tied_table
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, cli, convergence_sweep, dump_forest, evaluate,
                       forest_predict, forest_predict_batch, generate, grid_search, screen,
@@ -181,6 +182,31 @@ def test_leak_safe_sweep_cells_match_golden(monkeypatch):
     cells = sweep_cells(monkeypatch)
     assert len(cells) == 9
     assert cells_digest(cells) == GOLDEN["sweep"]["kbest-leak-safe"]
+
+
+def screen_once_sweep(monkeypatch):
+    """Rows and recorded cells of a screen-once kbest sweep whose every count cuts a tie of
+    the whole table's F-scores, so each prefix takes the lower ids of a tied run."""
+    cells = []
+    cross_validate = evaluate.cross_validate
+
+    def recording(*args, **kwargs):
+        cells.append(cross_validate(*args, **kwargs))
+        return cells[-1]
+
+    monkeypatch.setattr(evaluate, "cross_validate", recording)
+    grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [ClassifierSpec("majority")]
+    rows = convergence_sweep(tied_table(71), ScreenerSpec("kbest"), grid,
+                             counts=[1, 3, 9, 20, 28, 30], folds=3, seed=31)
+    return rows, cells
+
+
+def test_screen_once_sweep_matches_golden(monkeypatch):
+    rows, cells = screen_once_sweep(monkeypatch)
+    assert len(cells) == 18
+    observed = {"rows": [[r.n_features_out, r.best_accuracy, r.best_classifier_id] for r in rows],
+                "cells": cells_digest(cells)}
+    assert observed == GOLDEN["sweep"]["kbest-screen-once"]
 
 
 def test_grid_cells_match_golden():
