@@ -168,8 +168,8 @@ def _neighbours(train_X, train_y, queries, k) -> np.ndarray:
     return out
 
 
-def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray, train_y: np.ndarray,
-                   n_classes: int) -> SimpleNamespace:
+def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray,
+                   train_y: np.ndarray) -> SimpleNamespace:
     """A fitted classifier: an object whose ``predict`` maps rows to labels.  kNN keeps
     the caller's float64 ``train_X`` itself, and its ``neighbours`` maps rows to the
     labels of their ``k`` nearest training rows, nearest first."""
@@ -236,7 +236,8 @@ def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
     for train_rows, _ in folds_idx:
         if np.ptp(dataset.labels[train_rows]) == 0:
             raise ValueError("a training fold holds a single class; cross-validation needs 2")
-        fits.append(_timed_fit(screener, dataset, train_rows))
+        shared = fits and screener.name == "identity"  # one identity fit serves every fold
+        fits.append(fits[0] if shared else _timed_fit(screener, dataset, train_rows))
     return fits
 
 
@@ -251,7 +252,7 @@ def _fold_pass(dataset: Dataset, classifiers, folds_idx, fits) -> list:
         train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows]) if fitted.transforming
                            else dataset.features[np.ix_(rows, fitted.selected.indices)]
                            for rows in (train_rows, test_rows))
-        train = (train_X, dataset.labels[train_rows], dataset.n_classes)
+        train = (train_X, dataset.labels[train_rows])
         if widest is not None:
             clf, knn_cpu = _timed(fit_classifier, widest, *train)
             nearest = clf.neighbours(test_X)
@@ -319,24 +320,32 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     (p x n_out floats each) while they run.  Its kNN and majority cells then
     share one fold pass, with one neighbour search per fold at the largest
     ``k``, before any cell is measured; rf cells run their own pass after it.
-    Every cell is measured by :func:`cross_validate`, in grid order.
+    Every cell is measured by :func:`cross_validate`, in grid order.  A leak-safe
+    :func:`convergence_sweep` measures each count's cells the same way, its
+    counts sharing one k-best fit per fold.
     """
     screener_grid = list(screener_grid)
     classifier_grid = list(classifier_grid)
     if not screener_grid or not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
     folds_idx = stratified_kfold(dataset, folds, seed)
-    shared = [c for c in classifier_grid if c.name != "rf"]
     entries = []
     for s_spec in screener_grid:
         fits = _fit_folds(dataset, s_spec, folds_idx)
-        passes = iter(_fold_pass(dataset, shared, folds_idx, fits) if shared else ())
-        entries += [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits,
-                                   predictions=None if c_spec.name == "rf" else next(passes))
-                    for c_spec in classifier_grid]
+        entries += _screener_cells(dataset, s_spec, classifier_grid, folds_idx, fits)
     # Highest mean accuracy; max() keeps the earliest of tied cells.
     best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)
     return EvaluationReport(entries=tuple(entries), best_index=best)
+
+
+def _screener_cells(dataset: Dataset, s_spec: ScreenerSpec, classifiers, folds_idx, fits) -> list:
+    """One screener's cells over its fold ``fits``, measured by :func:`cross_validate`
+    in grid order after the kNN and majority cells' shared fold pass."""
+    shared = [c for c in classifiers if c.name != "rf"]
+    passes = iter(_fold_pass(dataset, shared, folds_idx, fits) if shared else ())
+    return [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits,
+                           predictions=None if c_spec.name == "rf" else next(passes))
+            for c_spec in classifiers]
 
 
 def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: float,
@@ -367,9 +376,12 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
                       leak_safe: bool = False) -> list[SweepRow]:
     """Best accuracy as a function of the number of screened features.
 
-    One row per requested count.  By default each count screens the whole
-    table once and cross-validates classifiers on the reduced view;
-    ``leak_safe=True`` re-screens inside every fold instead.
+    One row per requested count.  By default the whole table is screened and
+    each count cross-validates classifiers on its reduced view;
+    ``leak_safe=True`` screens inside every fold of one split instead.  A
+    k-best screen is fitted once (per fold when leak-safe) at the widest count
+    and each count keeps a prefix of its ranking, so every count reports that
+    fit's ``screening_cpu_s``; the other screeners are fitted per count.
     """
     classifier_grid = list(classifier_grid)
     if not classifier_grid:
@@ -377,21 +389,22 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
     counts = [int(c) for c in counts]
     if any(c < 1 or c > dataset.n_features for c in counts):
         raise ValueError(f"counts must be in 1..{dataset.n_features}")
+    folds_idx = stratified_kfold(dataset, folds, seed) if leak_safe else None
+    def fit(spec):
+        return _fit_folds(dataset, spec, folds_idx) if leak_safe else [_timed_fit(spec, dataset)]
+    # kbest's top k is a prefix of one ranking.  The others fit per count: an rfms screen, random's
+    # choice(n, k) draws and pca's Gram-regime projection and rank check all change with the width.
+    widest = fit(screener.with_n_out(max(counts))) if screener.name == "kbest" else None
     rows = []
     for count in counts:
         spec = screener.with_n_out(count)
-        if leak_safe:
-            report = grid_search(dataset, [spec], classifier_grid, folds=folds, seed=seed)
-        else:
-            reduced, _, screening_cpu = reduce_full(dataset, spec)
-            report = screen_once_report(reduced, spec.label(), screening_cpu, classifier_grid,
-                                        folds=folds, seed=seed)
-        best = report.best
-        rows.append(SweepRow(
-            n_features_out=count,
-            best_accuracy=best.mean_accuracy,
-            best_classifier_id=best.classifier_id,
-            screening_cpu_s=best.screening_cpu_s,
-            fitting_cpu_s=best.fitting_cpu_s,
-        ))
+        fits = fit(spec) if widest is None else [
+            (FittedScreener(selected=FeatureSubset(f.selected.indices[:count])), cpu)
+            for f, cpu in widest]
+        cells = (_screener_cells(dataset, spec, classifier_grid, folds_idx, fits) if leak_safe
+                 else screen_once_report(fits[0][0].view(dataset), spec.label(), fits[0][1],
+                                         classifier_grid, folds, seed).entries)
+        best = max(cells, key=lambda e: e.mean_accuracy)  # the earliest of tied cells
+        rows.append(SweepRow(count, best.mean_accuracy, best.classifier_id,
+                             best.screening_cpu_s, best.fitting_cpu_s))
     return rows

@@ -98,7 +98,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     train_X = rng.normal(size=(50, 4))
     train_y = rng.integers(1, 4, size=50)
     train_y[:3] = [1, 2, 3]
-    knn = fit_classifier(ClassifierSpec("knn", {"k": 5}), train_X, train_y, int(train_y.max()))
+    knn = fit_classifier(ClassifierSpec("knn", {"k": 5}), train_X, train_y)
     knn_mismatches = 0
     for q in rng.normal(size=(100, 4)):
         if knn.predict(q[None, :])[0] != oracle_knn(train_X, train_y, q, 5):

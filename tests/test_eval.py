@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import make_dataset, oracle_knn, traced_peak
-from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig,
-                      convergence_sweep, cross_validate, evaluate, fit_screener, grid_search,
-                      kbest_fscore, pca_fit, pca_transform, reduce_full, stratified_kfold)
+from dataclasses import replace
+
+from helpers import make_dataset, oracle_knn, tied_table, traced_peak
+from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig, baselines,
+                      convergence_sweep, cross_validate, evaluate, f_scores, fit_screener,
+                      grid_search, kbest_fscore, pca_fit, pca_transform, reduce_full,
+                      screen_once_report, stratified_kfold)
 from rfscreen.evaluate import fit_classifier
 
 
@@ -29,7 +32,15 @@ def _blobs(seed=0, n=60, f=5, k=3, spread=1.0):
 
 def _knn(ds, k):
     """kNN with ``k`` neighbours fitted on every row of ``ds``."""
-    return fit_classifier(ClassifierSpec("knn", {"k": k}), ds.features, ds.labels, ds.n_classes)
+    return fit_classifier(ClassifierSpec("knn", {"k": k}), ds.features, ds.labels)
+
+
+def _recorded_fits(monkeypatch) -> list:
+    """The labels of the specs ``evaluate.fit_screener`` is called with, in call order."""
+    fitted = []
+    monkeypatch.setattr(evaluate, "fit_screener",
+                        lambda spec, *args: fitted.append(spec.label()) or fit_screener(spec, *args))
+    return fitted
 
 
 def _predict_one(clf, query) -> int:
@@ -75,7 +86,7 @@ class TestKnnPredict:
         ds = _blobs(seed=2)
         q = ds.features[0].copy()
         q[1] = bad
-        clf = fit_classifier(ClassifierSpec("knn", {"k": 3}), ds.features, ds.labels, 3)
+        clf = fit_classifier(ClassifierSpec("knn", {"k": 3}), ds.features, ds.labels)
         with pytest.raises(ValueError, match="non-finite"):
             _predict_one(clf, q)
         with pytest.raises(ValueError, match="non-finite"):
@@ -96,7 +107,7 @@ class TestKnnScreen:
         X, y, queries = np.asarray(X, float), np.asarray(y), np.asarray(queries, float)
         for k in ks:
             expected = [oracle_knn(X, y, q, k) for q in queries]
-            clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X, y, int(y.max()))
+            clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X, y)
             assert [_predict_one(clf, q) for q in queries] == expected
             assert clf.predict(queries).tolist() == expected
 
@@ -162,7 +173,7 @@ class TestKnnScreen:
         X = 1e8 + rng.normal(size=(320, 2000))
         y = rng.integers(1, 11, size=320)
         queries = 1e8 + rng.normal(size=(80, 2000))
-        clf = fit_classifier(ClassifierSpec("knn", {"k": 5}), X, y, 10)
+        clf = fit_classifier(ClassifierSpec("knn", {"k": 5}), X, y)
         tracemalloc.start()
         try:
             labels = clf.predict(queries)
@@ -202,7 +213,7 @@ class TestSharedNeighbourSearch:
             for (train_rows, test_rows), (labels, _) in zip(
                     stratified_kfold(ds, 3, seed), cell, strict=True):
                 train_X, train_y = X[train_rows], ds.labels[train_rows]
-                clf = fit_classifier(ClassifierSpec("knn", {"k": k}), train_X, train_y, 4)
+                clf = fit_classifier(ClassifierSpec("knn", {"k": k}), train_X, train_y)
                 assert labels.tolist() == clf.predict(X[test_rows]).tolist()
                 assert labels.tolist() == [oracle_knn(train_X, train_y, q, k)
                                            for q in X[test_rows]]
@@ -245,6 +256,19 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="single class"):
             cross_validate(split, ScreenerSpec("identity"), ClassifierSpec("knn", {"k": 1}),
                            folds_idx=[(rows[:6], rows[6:]), (rows[6:], rows[:6])])
+
+    def test_identity_is_fitted_once_and_every_fold_checked(self, monkeypatch):
+        fitted = _recorded_fits(monkeypatch)
+        ds = _blobs(seed=26)
+        grid_search(ds, [ScreenerSpec("identity")], [ClassifierSpec("knn", {"k": 1})],
+                    folds=5, seed=3)
+        assert fitted == ["identity"]
+        # the first fold's fit would serve the second, whose training rows hold one class
+        rows = np.arange(12)
+        split = make_dataset(np.arange(12.0)[:, None], [1] * 6 + [2] * 6)
+        with pytest.raises(ValueError, match="single class"):
+            cross_validate(split, ScreenerSpec("identity"), ClassifierSpec("majority"),
+                           folds_idx=[(rows, rows[:2]), (rows[6:], rows[:6])])
 
     def test_majority_dummy_scores_chance(self):
         ds = _blobs(seed=4, n=60, k=3)
@@ -299,9 +323,9 @@ class TestCrossValidate:
         folds_idx = stratified_kfold(ds, 3, seed=3)
         seen = []
 
-        def capturing(spec, train_X, train_y, n_classes):
+        def capturing(spec, train_X, train_y):
             seen.append(train_X)
-            return fit_classifier(spec, train_X, train_y, n_classes)
+            return fit_classifier(spec, train_X, train_y)
 
         monkeypatch.setattr(evaluate, "fit_classifier", capturing)
         cross_validate(ds, ScreenerSpec("pca", {"n_out": 4}), ClassifierSpec("knn", {"k": 1}),
@@ -341,8 +365,7 @@ class TestCrossValidate:
                             lambda train, p: train_forest(train, seen.append(p) or p))
         ds = _blobs(seed=4, n=30, f=6)
         forest = ForestParams(n_trees=3, n_subfeatures=50, min_samples_leaf=2, seed=8)
-        clf = fit_classifier(ClassifierSpec("rf", forest=forest), ds.features, ds.labels,
-                             ds.n_classes)
+        clf = fit_classifier(ClassifierSpec("rf", forest=forest), ds.features, ds.labels)
         assert clf.predict(ds.features).shape == (30,)
         assert seen == [ForestParams(n_trees=3, n_subfeatures=6, min_samples_leaf=2, seed=8)]
 
@@ -510,7 +533,7 @@ class TestMemory:
     A fold is a row set over the one table: beyond its input a kbest grid holds one
     score block and an rfms grid one round's pool, well under half the table, and a
     full-width kNN cell one fold's train and test gathers, 1.0 of the table, plus the
-    identity fits' id tuples and the kNN distance blocks.
+    identity screener's one id tuple and the kNN distance blocks.
     """
 
     KNN = ClassifierSpec("knn", {"k": 1})
@@ -612,6 +635,72 @@ class TestConvergenceSweep:
             assert (row.best_accuracy, row.best_classifier_id, row.screening_cpu_s,
                     row.fitting_cpu_s) == (best.mean_accuracy, best.classifier_id,
                                            best.screening_cpu_s, best.fitting_cpu_s)
+
+    @pytest.mark.parametrize("leak_safe", [True, False])
+    def test_kbest_is_fitted_and_scored_once_per_fold(self, leak_safe, monkeypatch):
+        fitted, scored = _recorded_fits(monkeypatch), []
+        monkeypatch.setattr(baselines, "f_scores",
+                            lambda *args: scored.append(1) or f_scores(*args))
+        grid = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("majority")]
+        counts = [2, 8, 1, 5, 3]
+        rows = convergence_sweep(_blobs(seed=27, f=8), ScreenerSpec("kbest"), grid, counts,
+                                 folds=5, seed=12, leak_safe=leak_safe)
+        assert [r.n_features_out for r in rows] == counts
+        # screen-once cross-validates each count's view under the identity screener
+        assert fitted == (["kbest(8)"] * 5 if leak_safe
+                          else ["kbest(8)"] + ["identity"] * len(counts))
+        assert len(scored) == (5 if leak_safe else 1)
+        assert len({r.screening_cpu_s for r in rows}) == 1
+
+    @pytest.mark.parametrize("leak_safe", [True, False])
+    @pytest.mark.parametrize("screener", [ScreenerSpec("random", {"seed": 3}),
+                                          ScreenerSpec("pca"), _rfms(1)])
+    def test_other_screeners_are_fitted_once_per_count(self, screener, leak_safe, monkeypatch):
+        fitted = _recorded_fits(monkeypatch)
+        counts = [2, 4, 1, 3]
+        convergence_sweep(_blobs(seed=28, f=8), screener, [ClassifierSpec("knn", {"k": 1})],
+                          counts, folds=5, seed=13, leak_safe=leak_safe)
+        per_count = [screener.with_n_out(c).label() for c in counts]
+        assert fitted == ([label for label in per_count for _ in range(5)] if leak_safe
+                          else [x for label in per_count for x in (label, "identity")])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("leak_safe", [True, False])
+    def test_prefix_fits_equal_a_fit_per_count(self, seed, leak_safe, monkeypatch):
+        ds = tied_table(seed)
+        assert np.unique(f_scores(ds)).size < ds.n_features  # tied scores
+        cells = []
+        cross_validate_fn = evaluate.cross_validate
+
+        def recording(*args, **kwargs):
+            cells.append(cross_validate_fn(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(evaluate, "cross_validate", recording)
+        grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [
+            ClassifierSpec("majority"),
+            ClassifierSpec("rf", forest=ForestParams(n_trees=2, n_subfeatures=3, seed=seed))]
+        counts = [int(c) for c in np.random.default_rng(seed).permutation(np.arange(1, 31))]
+        rows = convergence_sweep(ds, ScreenerSpec("kbest"), grid, counts, folds=3, seed=seed,
+                                 leak_safe=leak_safe)
+        swept, cells[:] = cells[:], []
+        bests = []
+        for count in counts:
+            spec = ScreenerSpec("kbest", {"n_out": count})
+            if leak_safe:
+                report = grid_search(ds, [spec], grid, folds=3, seed=seed)
+            else:
+                reduced, _, cpu = reduce_full(ds, spec)
+                report = screen_once_report(reduced, spec.label(), cpu, grid, 3, seed)
+            bests.append(report.best)
+
+        def masked(entry):
+            return replace(entry, screening_cpu_s=0.0, fitting_cpu_s=0.0)
+
+        assert [masked(e) for e in swept] == [masked(e) for e in cells]
+        assert len(swept) == 4 * len(counts)
+        assert [(r.n_features_out, r.best_accuracy, r.best_classifier_id) for r in rows] == [
+            (c, b.mean_accuracy, b.classifier_id) for c, b in zip(counts, bests)]
 
     def test_count_bounds(self):
         ds = _blobs(seed=19)

@@ -89,20 +89,20 @@ def _integer_table():
 
 
 def _knn_tables():
-    """(features, labels, n_classes) per case; even rows train, odd rows query."""
+    """(features, labels) per case; even rows train, odd rows query."""
     ds = _synth(31, 4, 20, 500)
     X, y = _integer_table()
     return {
-        "synth-w10": (ds.features[:, :10], ds.labels, ds.n_classes),
-        "synth-w500": (ds.features, ds.labels, ds.n_classes),
-        "integer-ties": (X, y, int(y.max())),
+        "synth-w10": (ds.features[:, :10], ds.labels),
+        "synth-w500": (ds.features, ds.labels),
+        "integer-ties": (X, y),
     }
 
 
-def observe_knn(X, y, n_classes) -> dict:
+def observe_knn(X, y) -> dict:
     out = {}
     for k in (1, 3, 5):
-        clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X[0::2], y[0::2], n_classes)
+        clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X[0::2], y[0::2])
         labels = [int(v) for v in clf.predict(X[1::2])]
         out[str(k)] = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
     return out
