@@ -1,5 +1,6 @@
-"""Golden outputs: a forest, screens, kNN labels, sweep rows and cells, rf and screen documents,
-and the cells and per-fold fits of two leak-safe grids over a wide table.
+"""Golden outputs: a forest, screens, kNN labels, sweep rows and cells, rf, screen and
+screen-once evaluate documents, and the cells and per-fold fits of two leak-safe grids over
+a wide table.
 
 The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
@@ -10,7 +11,9 @@ that refitted each fold's screener once per cell, the screen-once sweep from the
 that screened the whole table once per count, the rf classifier documents from the
 classifier that read its knobs with library defaults, the CLI screen documents from
 the screens that built a canary-augmented copy of the table, the wide grids from the
-harness that copied each training fold into its own Dataset), and must pass unchanged for as
+harness that copied each training fold into its own Dataset, the pca and random screen-once
+sweeps and the screen-once evaluate documents from the harness that cross-validated a reduced
+copy of the table), and must pass unchanged for as
 long as the determinism contract holds.  Never regenerate golden.json to
 make a change pass: a mismatch means the bits of the output moved.
 """
@@ -153,8 +156,8 @@ def cells_digest(entries) -> str:
     return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
 
 
-def sweep_cells(monkeypatch):
-    """Cells of a leak-safe kbest sweep to full width, recorded as they are measured."""
+def recorded_cells(monkeypatch) -> list:
+    """The cells that ``evaluate.cross_validate`` measures from now on, in call order."""
     cells = []
     cross_validate = evaluate.cross_validate
 
@@ -163,6 +166,12 @@ def sweep_cells(monkeypatch):
         return cells[-1]
 
     monkeypatch.setattr(evaluate, "cross_validate", recording)
+    return cells
+
+
+def sweep_cells(monkeypatch):
+    """Cells of a leak-safe kbest sweep to full width, recorded as they are measured."""
+    cells = recorded_cells(monkeypatch)
     grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [ClassifierSpec("majority")]
     convergence_sweep(_synth(53, 3, 12, 40), ScreenerSpec("kbest"), grid,
                       counts=[3, 12, 40], folds=3, seed=19, leak_safe=True)
@@ -187,14 +196,7 @@ def test_leak_safe_sweep_cells_match_golden(monkeypatch):
 def screen_once_sweep(monkeypatch):
     """Rows and recorded cells of a screen-once kbest sweep whose every count cuts a tie of
     the whole table's F-scores, so each prefix takes the lower ids of a tied run."""
-    cells = []
-    cross_validate = evaluate.cross_validate
-
-    def recording(*args, **kwargs):
-        cells.append(cross_validate(*args, **kwargs))
-        return cells[-1]
-
-    monkeypatch.setattr(evaluate, "cross_validate", recording)
+    cells = recorded_cells(monkeypatch)
     grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [ClassifierSpec("majority")]
     rows = convergence_sweep(tied_table(71), ScreenerSpec("kbest"), grid,
                              counts=[1, 3, 9, 20, 28, 30], folds=3, seed=31)
@@ -207,6 +209,29 @@ def test_screen_once_sweep_matches_golden(monkeypatch):
     observed = {"rows": [[r.n_features_out, r.best_accuracy, r.best_classifier_id] for r in rows],
                 "cells": cells_digest(cells)}
     assert observed == GOLDEN["sweep"]["kbest-screen-once"]
+
+
+# name -> (table, screener, counts) of a screen-once sweep with knn, majority and rf cells;
+# the pca table is wider than tall, so the whole-table fit runs in the Gram regime
+SCREEN_ONCE_SWEEPS = {
+    "pca-screen-once": (lambda: _synth(61, 3, 10, 60), ScreenerSpec("pca"), [2, 7, 15, 25]),
+    "random-screen-once": (lambda: _synth(67, 3, 12, 40), ScreenerSpec("random", {"seed": 5}),
+                           [3, 12, 40]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_ONCE_SWEEPS))
+def test_screen_once_sweeps_match_golden(monkeypatch, name):
+    build, screener, counts = SCREEN_ONCE_SWEEPS[name]
+    cells = recorded_cells(monkeypatch)
+    grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3)] + [
+        ClassifierSpec("majority"),
+        ClassifierSpec("rf", forest=ForestParams(n_trees=4, n_subfeatures=3, seed=17))]
+    rows = convergence_sweep(build(), screener, grid, counts=counts, folds=3, seed=37)
+    assert len(cells) == 4 * len(counts)
+    observed = {"rows": [[r.n_features_out, r.best_accuracy, r.best_classifier_id] for r in rows],
+                "cells": cells_digest(cells)}
+    assert observed == GOLDEN["sweep"][name]
 
 
 def test_grid_cells_match_golden():
@@ -351,3 +376,19 @@ def test_screen_documents_match_golden(rf_workspace, name):
     doc = mask_timing(json.loads(out.read_text(encoding="utf-8")))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN["screen_documents"][name]
+
+
+@pytest.mark.parametrize("name", ["kbest", "pca"])
+def test_screen_once_evaluate_documents_match_golden(rf_workspace, name):
+    """``evaluate --classifier all`` without ``--leak-safe`` over a stored screen."""
+    root = rf_workspace
+    (root / f"once-{name}.cfg").write_text("reduced-size = 5\n", encoding="utf-8")
+    (root / "once-eval.cfg").write_text(RF_EVAL_CFG, encoding="utf-8")
+    result, out = root / f"once-{name}.json", root / f"once-{name}-eval"
+    assert cli.main(["screen", "--screener", name, "--data", str(root / "data.csv"),
+                     "--config", str(root / f"once-{name}.cfg"), "--out", str(result)]) == 0
+    assert cli.main(["evaluate", "--classifier", "all", "--data", str(root / "data.csv"),
+                     "--result", str(result), "--config", str(root / "once-eval.cfg"),
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert masked_sha256(doc) == GOLDEN["evaluate_documents"][name]
