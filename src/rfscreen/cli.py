@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from .baselines import f_scores, pca_fit, random_subset, top_k
-from .data import CsvFormatError, Dataset, load_csv, write_csv
+from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, write_csv
 from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
                        grid_search, screen_once_report)
 from .forest import ForestParams
@@ -306,15 +306,15 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _selection_from_document(doc: dict, dataset: Dataset):
-    """Reduced view of the dataset per a stored screening result."""
+def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
+    """The whole-table fit that a stored screening result holds, checked against the dataset."""
     if doc.get("transforming"):
         model = pca_model_from_document(doc)
         if model.n_features != dataset.n_features:
             raise ValidationError(
                 f"result was fitted on {model.n_features} features, "
                 f"dataset has {dataset.n_features}")
-        return FittedScreener(pca=model).view(dataset)
+        return FittedScreener(pca=model)
     position = {name: i for i, name in enumerate(dataset.feature_names)}
     columns = []
     for item in doc["selected"]:
@@ -327,7 +327,7 @@ def _selection_from_document(doc: dict, dataset: Dataset):
                 f"selected feature {item['name']!r} not found in the dataset; "
                 "feature names do not match")
         columns.append(position[item["name"]])
-    return dataset.select_features(columns)
+    return FittedScreener(selected=FeatureSubset(tuple(columns)))
 
 
 def _screener_spec_from_document(doc: dict, n_features: int) -> ScreenerSpec:
@@ -352,9 +352,9 @@ def cmd_evaluate(args) -> int:
         spec = _screener_spec_from_document(doc, dataset.n_features)
         report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
-        reduced = _selection_from_document(doc, dataset)
+        fitted = _selection_from_document(doc, dataset)
         report = screen_once_report(
-            reduced, f"{doc['screener']['name']}({reduced.n_features})",
+            dataset, fitted, f"{doc['screener']['name']}({fitted.n_out})",
             float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
 
     base = _write_pair(report_document(report, folds), records_csv(report.entries), args.out)

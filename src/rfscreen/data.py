@@ -75,15 +75,6 @@ class Dataset:
         """Column-major ``rows`` of the column slice ``cols``: all rows as a view, else a copy."""
         return self.features[:, cols] if rows is None else np.take(self.features.T[cols], rows, 1).T
 
-    def select_features(self, indices) -> "Dataset":
-        """Column-subset view as a new Dataset (labels shared)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[:, idx],
-            labels=self.labels,
-            feature_names=tuple(self.feature_names[i] for i in idx),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented

@@ -1,16 +1,17 @@
 """Measurement harness: classifiers, cross-validation, grid search, sweeps.
 
-``cross_validate`` is leak-safe: a fold is a pair of row-index arrays over
-the one table, the screener is fitted on its training rows only, and both
-portions are gathered once reduced.  :func:`grid_search` fits each screener
+A fold is a pair of row-index arrays over the one table, from which it gathers
+its screened columns once.  ``cross_validate`` is leak-safe: the screener is
+fitted on a fold's training rows only.  :func:`grid_search` fits each screener
 once per fold and shares the fits across its classifier cells; its kNN and
 majority cells share each fold's gather, and all its kNN cells one neighbour
 search per fold.  The screen-once protocol, the command-line ``evaluate``
-default, is :func:`reduce_full` followed by :func:`screen_once_report`.  kNN
-screens neighbours with one matmul and re-scores the rows near its cut
-exactly.  CPU cost is split into screening seconds (the reduction fits a cell
-uses, shared or not) and fitting seconds (classifier training), both measured
-as process CPU time.
+default, is :func:`fit_screener` on the whole table and
+:func:`screen_once_report`, where that one fit serves every fold.  kNN screens
+neighbours with one matmul and re-scores the rows near its cut exactly.  CPU
+cost is split into screening seconds (the reduction fits a cell uses, shared
+or not) and fitting seconds (classifier training), both measured as process
+CPU time.
 """
 
 from __future__ import annotations
@@ -103,14 +104,6 @@ class FittedScreener:
         if self.pca is not None:
             return self.pca.n_components
         return len(self.selected)
-
-    def view(self, dataset: Dataset) -> Dataset:
-        """The reduced dataset: the selected columns, or PCA scores named ``pc1..``."""
-        if self.pca is None:
-            return dataset.select_features(self.selected.indices)
-        return Dataset(features=pca_transform(self.pca, dataset.features),
-                       labels=dataset.labels,
-                       feature_names=tuple(f"pc{i + 1}" for i in range(self.n_out)))
 
 
 def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScreener:
@@ -230,14 +223,18 @@ def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple[Fit
     return fitted, 0.0 if screener.name == "identity" else cpu
 
 
-def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx) -> list:
-    """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows."""
+def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx, whole=None) -> list:
+    """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows;
+    a whole-table fit ``whole``, as the identity screener's one fit, serves every fold
+    instead, its CPU seconds counted on the first.  Every fold is checked for one class."""
+    if whole is None and screener.name == "identity":
+        whole = _timed_fit(screener, dataset)
     fits = []
     for train_rows, _ in folds_idx:
         if np.ptp(dataset.labels[train_rows]) == 0:
             raise ValueError("a training fold holds a single class; cross-validation needs 2")
-        shared = fits and screener.name == "identity"  # one identity fit serves every fold
-        fits.append(fits[0] if shared else _timed_fit(screener, dataset, train_rows))
+        fits.append(_timed_fit(screener, dataset, train_rows) if whole is None
+                    else (whole[0], 0.0) if fits else whole)
     return fits
 
 
@@ -299,16 +296,6 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
     )
 
 
-def reduce_full(dataset: Dataset, screener: ScreenerSpec):
-    """Screen-once protocol: fit on the whole table; returns (view, fitted, cpu_s).
-
-    The view is the reduced table of all rows; ``cpu_s`` is the screening
-    CPU time, measured here so downstream cells can report it.
-    """
-    fitted, cpu = _timed_fit(screener, dataset)
-    return fitted.view(dataset), fitted, cpu
-
-
 def grid_search(dataset: Dataset, screener_grid, classifier_grid,
                 folds: int = 5, seed: int = 20230125) -> EvaluationReport:
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
@@ -320,9 +307,8 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     (p x n_out floats each) while they run.  Its kNN and majority cells then
     share one fold pass, with one neighbour search per fold at the largest
     ``k``, before any cell is measured; rf cells run their own pass after it.
-    Every cell is measured by :func:`cross_validate`, in grid order.  A leak-safe
-    :func:`convergence_sweep` measures each count's cells the same way, its
-    counts sharing one k-best fit per fold.
+    Every cell is measured by :func:`cross_validate`, in grid order, as are
+    those of :func:`screen_once_report` and :func:`convergence_sweep`.
     """
     screener_grid = list(screener_grid)
     classifier_grid = list(classifier_grid)
@@ -333,9 +319,14 @@ def grid_search(dataset: Dataset, screener_grid, classifier_grid,
     for s_spec in screener_grid:
         fits = _fit_folds(dataset, s_spec, folds_idx)
         entries += _screener_cells(dataset, s_spec, classifier_grid, folds_idx, fits)
-    # Highest mean accuracy; max() keeps the earliest of tied cells.
-    best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)
-    return EvaluationReport(entries=tuple(entries), best_index=best)
+    return _report(entries)
+
+
+def _report(entries) -> EvaluationReport:
+    """The cells and the best of them: the highest mean accuracy, the earliest of tied cells."""
+    entries = tuple(entries)
+    best = max(range(len(entries)), key=lambda i: entries[i].mean_accuracy)  # max keeps the first
+    return EvaluationReport(entries=entries, best_index=best)
 
 
 def _screener_cells(dataset: Dataset, s_spec: ScreenerSpec, classifiers, folds_idx, fits) -> list:
@@ -348,18 +339,27 @@ def _screener_cells(dataset: Dataset, s_spec: ScreenerSpec, classifiers, folds_i
             for c_spec in classifiers]
 
 
-def screen_once_report(reduced: Dataset, screener_id: str, screening_cpu_s: float,
-                       classifier_grid, folds: int = 5, seed: int = 20230125) -> EvaluationReport:
-    """Screen-once protocol: cross-validate classifiers on an already-reduced view.
+def screen_once_report(dataset: Dataset, fitted: FittedScreener, screener_id: str,
+                       screening_cpu_s: float, classifier_grid, folds: int = 5,
+                       seed: int = 20230125) -> EvaluationReport:
+    """Screen-once protocol: cross-validate classifiers over ``fitted``, fitted on every
+    row of ``dataset`` in ``screening_cpu_s``, its cells reported under ``screener_id``.
 
-    ``reduced`` is the whole table after one screen: this is
-    :func:`grid_search` with the identity screener, its cells reported under
-    ``screener_id`` with that screen's ``screening_cpu_s``.
-    """
-    report = grid_search(reduced, [ScreenerSpec("identity")], classifier_grid, folds, seed)
-    return replace(report, entries=tuple(
-        replace(e, screener_id=screener_id, screening_cpu_s=screening_cpu_s)
-        for e in report.entries))
+    That one fit serves every fold, and each fold gathers its rows of the selected
+    columns from the one table: no reduced table is built.  A PCA fit projects the
+    whole table once (n_samples x n_out floats) and runs over those scores."""
+    classifier_grid = list(classifier_grid)
+    if not classifier_grid:
+        raise ValueError("parameter grid must be non-empty")
+    if fitted.transforming:
+        dataset = Dataset(pca_transform(fitted.pca, dataset.features), dataset.labels,
+                          tuple(f"pc{i + 1}" for i in range(fitted.n_out)))
+        fitted = FittedScreener(selected=FeatureSubset(tuple(range(fitted.n_out))))
+    identity = ScreenerSpec("identity")
+    folds_idx = stratified_kfold(dataset, folds, seed)
+    fits = _fit_folds(dataset, identity, folds_idx, (fitted, screening_cpu_s))
+    return _report(replace(e, screener_id=screener_id)
+                   for e in _screener_cells(dataset, identity, classifier_grid, folds_idx, fits))
 
 
 @dataclass(frozen=True)
@@ -377,11 +377,11 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
     """Best accuracy as a function of the number of screened features.
 
     One row per requested count.  By default the whole table is screened and
-    each count cross-validates classifiers on its reduced view;
-    ``leak_safe=True`` screens inside every fold of one split instead.  A
-    k-best screen is fitted once (per fold when leak-safe) at the widest count
-    and each count keeps a prefix of its ranking, so every count reports that
-    fit's ``screening_cpu_s``; the other screeners are fitted per count.
+    :func:`screen_once_report` cross-validates each count's fit; ``leak_safe=True``
+    screens inside every fold of one split instead.  A k-best screen is fitted
+    once (per fold when leak-safe) at the widest count and each count keeps a
+    prefix of its ranking, so every count reports that fit's ``screening_cpu_s``;
+    the other screeners are fitted per count.
     """
     classifier_grid = list(classifier_grid)
     if not classifier_grid:
@@ -401,10 +401,9 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
         fits = fit(spec) if widest is None else [
             (FittedScreener(selected=FeatureSubset(f.selected.indices[:count])), cpu)
             for f, cpu in widest]
-        cells = (_screener_cells(dataset, spec, classifier_grid, folds_idx, fits) if leak_safe
-                 else screen_once_report(fits[0][0].view(dataset), spec.label(), fits[0][1],
-                                         classifier_grid, folds, seed).entries)
-        best = max(cells, key=lambda e: e.mean_accuracy)  # the earliest of tied cells
+        best = (_report(_screener_cells(dataset, spec, classifier_grid, folds_idx, fits))
+                if leak_safe else screen_once_report(dataset, fits[0][0], spec.label(), fits[0][1],
+                                                     classifier_grid, folds, seed)).best
         rows.append(SweepRow(count, best.mean_accuracy, best.classifier_id,
                              best.screening_cpu_s, best.fitting_cpu_s))
     return rows

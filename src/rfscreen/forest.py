@@ -94,16 +94,6 @@ class ForestModel:
     params: ForestParams
 
 
-def gini_impurity(class_counts) -> float:
-    """Gini impurity ``1 - sum(p_i^2)`` of a nonnegative count vector."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("class counts must contain at least one positive entry")
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
-
-
 # cap on the (row, candidate feature) elements of one batched scan pass
 _PASS_ELEMENTS = 1 << 14
 
@@ -251,11 +241,6 @@ def best_split(dataset: Dataset, sample_indices, candidate_features,
 def _draw_bootstrap(rng, n_samples: int, partial_sampling: float) -> np.ndarray:
     """In-bag sample indices: the first draw of a tree's stream ``rng``."""
     return rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
-
-
-def bootstrap_indices(params: ForestParams, n_samples: int, tree_index: int) -> np.ndarray:
-    """In-bag sample indices of one tree."""
-    return _draw_bootstrap(stream(params.seed, tree_index), n_samples, params.partial_sampling)
 
 
 def _grow_tree(X, y0, k, partial_sampling, n_subfeatures, msl, rng):

@@ -78,6 +78,12 @@ def oracle_load_csv(path, label_column="label"):
     return rows, labels, tuple(name for i, name in enumerate(header) if i != pos)
 
 
+def oracle_gini(counts) -> float:
+    """Gini impurity ``1 - sum(p_i^2)`` of a class-count vector with a positive total."""
+    p = np.asarray(counts) / np.sum(counts)
+    return 1.0 - np.sum(p * p)
+
+
 def oracle_best_split(X, y, candidates, min_samples_leaf=1, min_purity_increase=0.0):
     """Exhaustive scan of every (feature, midpoint) pair, recomputing the
     weighted Gini decrease from scratch for each one."""
@@ -88,8 +94,7 @@ def oracle_best_split(X, y, candidates, min_samples_leaf=1, min_purity_increase=
     counts = np.bincount(y0, minlength=k)
     if np.count_nonzero(counts) < 2:
         return None  # pure node
-    p = counts / n
-    g_parent = 1.0 - np.sum(p * p)
+    g_parent = oracle_gini(counts)
     best = None
     for f in sorted({int(c) for c in candidates}):
         vals = np.unique(X[:, f])
@@ -100,10 +105,8 @@ def oracle_best_split(X, y, candidates, min_samples_leaf=1, min_purity_increase=
             nr = n - nl
             if nl < min_samples_leaf or nr < min_samples_leaf:
                 continue
-            pl = np.bincount(y0[mask], minlength=k) / nl
-            gl = 1.0 - np.sum(pl * pl)
-            pr = np.bincount(y0[~mask], minlength=k) / nr
-            gr = 1.0 - np.sum(pr * pr)
+            gl = oracle_gini(np.bincount(y0[mask], minlength=k))
+            gr = oracle_gini(np.bincount(y0[~mask], minlength=k))
             dec = g_parent - (nl / n) * gl - (nr / n) * gr
             if dec < min_purity_increase:
                 continue

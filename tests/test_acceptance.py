@@ -14,7 +14,7 @@ import pytest
 
 from helpers import (make_dataset, mask_timing, oracle_best_split, oracle_f_scores,
                      oracle_knn, random_split_instance)
-from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
+from rfscreen import (ClassifierSpec, Dataset, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, best_split, convergence_sweep, cross_validate,
                       f_scores, generate, partition_features, permute_features,
                       random_subset, screen, selection_frequency, train_forest,
@@ -62,7 +62,9 @@ def rfms_runs(acc_data):
 
 
 def _knn_cv(dataset, columns):
-    view = dataset.select_features(list(columns))
+    columns = list(columns)
+    view = Dataset(dataset.features[:, columns], dataset.labels,
+                   tuple(dataset.feature_names[i] for i in columns))
     entry = cross_validate(view, ScreenerSpec("identity"), KNN, folds=5, seed=CV_SEED)
     return entry.mean_accuracy
 

@@ -4,12 +4,14 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import rfscreen.cli as cli
 import rfscreen.evaluate as evaluate
 from helpers import mask_timing
-from rfscreen import ClassifierSpec, ReportEntry, ScreenerSpec, SweepRow, cross_validate, load_csv
+from rfscreen import (ClassifierSpec, Dataset, ReportEntry, ScreenerSpec, SweepRow, cross_validate,
+                      load_csv)
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -193,7 +195,8 @@ class TestEvaluate:
         doc = read_json(result)
         names = [item["name"] for item in doc["selected"]]
         cols = [ds.feature_names.index(n) for n in names]
-        direct = cross_validate(ds.select_features(cols), ScreenerSpec("identity"),
+        reduced = Dataset(ds.features[:, cols], ds.labels, tuple(names))
+        direct = cross_validate(reduced, ScreenerSpec("identity"),
                                 ClassifierSpec("knn", {"k": 1}), folds=5, seed=20230125)
         assert report["entries"][0]["mean_accuracy"] == direct.mean_accuracy
         assert report["entries"][0]["fold_accuracies"] == list(direct.fold_accuracies)
@@ -274,6 +277,23 @@ class TestEvaluate:
         assert code == 0
         report = read_json(workspace / "pcarep.json")
         assert report["entries"][0]["n_features_out"] == 3
+
+    def test_screen_once_single_class_training_fold_fails(self, workspace, monkeypatch, capsys):
+        # the whole-table fit serves every fold, and every fold is still checked
+        labels = load_csv(workspace / "data.csv").labels
+        rows, one = np.arange(labels.size), labels == 1
+        monkeypatch.setattr(evaluate, "stratified_kfold",
+                            lambda *args: [(rows[~one], rows[one]), (rows[one], rows[~one])])
+        cfg, result = workspace / "kbest.cfg", workspace / "kbest.json"
+        cfg.write_text("reduced-size = 5\n", encoding="utf-8")
+        data = ["--data", str(workspace / "data.csv")]
+        assert main(["screen", "--screener", "kbest", *data, "--config", str(cfg),
+                     "--out", str(result)]) == 0
+        assert main(["evaluate", "--classifier", "majority", *data, "--result", str(result),
+                     "--out", str(workspace / "once")]) == 1
+        assert capsys.readouterr().err == (
+            "runtime error: a training fold holds a single class; cross-validation needs 2\n")
+        assert not (workspace / "once.json").exists()
 
     @pytest.mark.parametrize("top_level", [[], "x"])
     def test_non_object_result_rejected(self, workspace, capsys, top_level):

@@ -145,12 +145,6 @@ class TestDatasetModel:
         with pytest.raises(ValueError):
             make_dataset([[np.nan]], [1])
 
-    def test_select_features_keeps_names(self):
-        ds = make_dataset([[1.0, 2.0, 3.0]], [1], names=("a", "b", "c"))
-        sub = ds.select_features([2, 0])
-        assert sub.feature_names == ("c", "a")
-        assert sub.features.tolist() == [[3.0, 1.0]]
-
 
 class TestFeatureSubset:
     def test_duplicates_rejected(self):

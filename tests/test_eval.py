@@ -10,8 +10,8 @@ from dataclasses import replace
 from helpers import make_dataset, oracle_knn, tied_table, traced_peak
 from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig, baselines,
                       convergence_sweep, cross_validate, evaluate, f_scores, fit_screener,
-                      grid_search, kbest_fscore, pca_fit, pca_transform, reduce_full,
-                      screen_once_report, stratified_kfold)
+                      grid_search, kbest_fscore, pca_fit, pca_transform, screen_once_report,
+                      stratified_kfold)
 from rfscreen.evaluate import fit_classifier
 
 
@@ -226,13 +226,6 @@ class TestFitScreener:
         explicit = fit_screener(ScreenerSpec("random", {"n_out": 5, "seed": 20230125}), ds)
         assert default.selected == explicit.selected
 
-    def test_pca_view_holds_named_scores(self):
-        ds = _blobs(seed=13, f=6)
-        view, fitted, _ = reduce_full(ds, ScreenerSpec("pca", {"n_out": 2}))
-        assert view.feature_names == ("pc1", "pc2")
-        np.testing.assert_array_equal(view.features, pca_transform(fitted.pca, ds.features))
-        np.testing.assert_array_equal(view.labels, ds.labels)
-
 
 class TestCrossValidate:
     def test_memorization_fixture_scores_one(self):
@@ -335,6 +328,23 @@ class TestCrossValidate:
             train = make_dataset(ds.features[train_rows], ds.labels[train_rows],
                                  names=ds.feature_names)
             np.testing.assert_array_equal(got, pca_transform(pca_fit(train, 4), train.features))
+
+    def test_screen_once_pca_folds_gather_one_whole_table_projection(self, monkeypatch):
+        # each fold's rows projected on their own differ in the last bits at this shape
+        ds = _blobs(seed=1, n=200, f=1000, k=5)
+        fitted = fit_screener(ScreenerSpec("pca", {"n_out": 6}), ds)
+        seen = []
+
+        def capturing(spec, train_X, train_y):
+            seen.append(train_X)
+            return fit_classifier(spec, train_X, train_y)
+
+        monkeypatch.setattr(evaluate, "fit_classifier", capturing)
+        screen_once_report(ds, fitted, "pca(6)", 0.0, [ClassifierSpec("knn", {"k": 1})],
+                           folds=3, seed=3)
+        whole = pca_transform(fitted.pca, ds.features)
+        for (train_rows, _), got in zip(stratified_kfold(ds, 3, seed=3), seen, strict=True):
+            np.testing.assert_array_equal(got, whole[train_rows])
 
     def test_rf_classifier_runs(self):
         ds = _blobs(seed=9, n=45, k=3)
@@ -533,7 +543,8 @@ class TestMemory:
     A fold is a row set over the one table: beyond its input a kbest grid holds one
     score block and an rfms grid one round's pool, well under half the table, and a
     full-width kNN cell one fold's train and test gathers, 1.0 of the table, plus the
-    identity screener's one id tuple and the kNN distance blocks.
+    identity screener's one id tuple and the kNN distance blocks.  A screen-once sweep's
+    one whole-table fit serves every fold in the same way, so it builds no reduced table.
     """
 
     KNN = ClassifierSpec("knn", {"k": 1})
@@ -571,6 +582,13 @@ class TestMemory:
         grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
         peak = traced_peak(lambda: grid_search(paper_shape, [ScreenerSpec("identity")], grid,
                                                folds=5, seed=2))
+        assert peak < 1.1 * paper_shape.features.nbytes
+
+    def test_full_width_screen_once_sweep_holds_one_fold(self, paper_shape):
+        grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
+        peak = traced_peak(lambda: convergence_sweep(
+            paper_shape, ScreenerSpec("kbest"), grid, counts=[paper_shape.n_features],
+            folds=5, seed=2))
         assert peak < 1.1 * paper_shape.features.nbytes
 
 
@@ -646,9 +664,8 @@ class TestConvergenceSweep:
         rows = convergence_sweep(_blobs(seed=27, f=8), ScreenerSpec("kbest"), grid, counts,
                                  folds=5, seed=12, leak_safe=leak_safe)
         assert [r.n_features_out for r in rows] == counts
-        # screen-once cross-validates each count's view under the identity screener
-        assert fitted == (["kbest(8)"] * 5 if leak_safe
-                          else ["kbest(8)"] + ["identity"] * len(counts))
+        # screen-once fits the whole table once, and that fit serves every fold
+        assert fitted == ["kbest(8)"] * (5 if leak_safe else 1)
         assert len(scored) == (5 if leak_safe else 1)
         assert len({r.screening_cpu_s for r in rows}) == 1
 
@@ -661,8 +678,7 @@ class TestConvergenceSweep:
         convergence_sweep(_blobs(seed=28, f=8), screener, [ClassifierSpec("knn", {"k": 1})],
                           counts, folds=5, seed=13, leak_safe=leak_safe)
         per_count = [screener.with_n_out(c).label() for c in counts]
-        assert fitted == ([label for label in per_count for _ in range(5)] if leak_safe
-                          else [x for label in per_count for x in (label, "identity")])
+        assert fitted == [label for label in per_count for _ in range(5 if leak_safe else 1)]
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("leak_safe", [True, False])
@@ -690,8 +706,8 @@ class TestConvergenceSweep:
             if leak_safe:
                 report = grid_search(ds, [spec], grid, folds=3, seed=seed)
             else:
-                reduced, _, cpu = reduce_full(ds, spec)
-                report = screen_once_report(reduced, spec.label(), cpu, grid, 3, seed)
+                fitted = fit_screener(spec, ds)
+                report = screen_once_report(ds, fitted, spec.label(), 0.0, grid, 3, seed)
             bests.append(report.best)
 
         def masked(entry):
@@ -701,6 +717,18 @@ class TestConvergenceSweep:
         assert len(swept) == 4 * len(counts)
         assert [(r.n_features_out, r.best_accuracy, r.best_classifier_id) for r in rows] == [
             (c, b.mean_accuracy, b.classifier_id) for c, b in zip(counts, bests)]
+
+    @pytest.mark.parametrize("screener", [ScreenerSpec("kbest"), ScreenerSpec("pca")])
+    def test_screen_once_single_class_training_fold_rejected(self, screener, monkeypatch):
+        # the whole-table fit serves every fold, and every fold is still checked
+        ds = _blobs(seed=29, n=12, k=2)
+        rows = np.arange(12)
+        monkeypatch.setattr(evaluate, "stratified_kfold",
+                            lambda *args: [(rows[::2], rows[1::2]), (rows[6:], rows[:6])])
+        with pytest.raises(ValueError, match="^a training fold holds a single class; "
+                                             "cross-validation needs 2$"):
+            convergence_sweep(ds, screener, [ClassifierSpec("majority")], counts=[2],
+                              folds=2, seed=0)
 
     def test_count_bounds(self):
         ds = _blobs(seed=19)

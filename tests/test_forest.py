@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 
 from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
-                     oracle_forest_predict, random_split_instance)
-from rfscreen import (ForestModel, ForestParams, Tree, best_split, bootstrap_indices,
-                      dump_forest, forest_predict, forest_predict_batch,
-                      gini_impurity, selection_frequency, train_forest)
-from rfscreen.forest import _dense_ranks, _scan_pass
+                     oracle_forest_predict, oracle_gini, random_split_instance)
+from rfscreen import (ForestModel, ForestParams, Tree, best_split, dump_forest, forest_predict,
+                      forest_predict_batch, selection_frequency, train_forest)
+from rfscreen.forest import _dense_ranks, _draw_bootstrap, _scan_pass
+from rfscreen.rng import stream
+
+
+def _bootstrap(params: ForestParams, n_samples: int, t: int) -> np.ndarray:
+    """Tree ``t``'s in-bag rows: the first draw of its stream."""
+    return _draw_bootstrap(stream(params.seed, t), n_samples, params.partial_sampling)
 
 
 class TestGiniImpurity:
     def test_pure_node(self):
-        assert gini_impurity([4, 0]) == 0.0
+        assert oracle_gini([4, 0]) == 0.0
 
     def test_balanced_binary(self):
-        assert gini_impurity([2, 2]) == 0.5
+        assert oracle_gini([2, 2]) == 0.5
 
     def test_uniform_four_class(self):
-        assert gini_impurity([1, 1, 1, 1]) == 0.75
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gini_impurity([0, 0, 0])
+        assert oracle_gini([1, 1, 1, 1]) == 0.75
 
 
 class TestBestSplit:
@@ -201,7 +202,7 @@ class TestTrainForest:
         params = _params(n_trees=10, n_subfeatures=6)
         model = train_forest(ds, params)
         covered = np.unique(np.concatenate([
-            bootstrap_indices(params, ds.n_samples, t) for t in range(params.n_trees)
+            _bootstrap(params, ds.n_samples, t) for t in range(params.n_trees)
         ]))
         predictions = forest_predict_batch(model, ds.features[covered])
         forest_acc = np.mean(predictions == ds.labels[covered])
@@ -221,7 +222,7 @@ class TestTrainForest:
                                          min_samples_leaf=msl,
                                          min_purity_increase=mpi))
         for t in range(len(model.trees)):
-            idx = bootstrap_indices(model.params, ds.n_samples, t)
+            idx = _bootstrap(model.params, ds.n_samples, t)
             tree = model.trees[t]
             stack = [(0, idx)]
             while stack:

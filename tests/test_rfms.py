@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, mask_timing, traced_peak
-from rfscreen import (FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
+from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
                       cli,
                       partition_features, permute_features, screen,
                       selection_frequency, train_forest)
@@ -224,7 +224,7 @@ class TestMemory:
         X[:, :5] += y[:, None]
         ds = make_dataset(X, y)
         # first calls import modules lazily (numpy.ma); keep those bytes out of the peaks
-        small = ds.select_features(range(50))
+        small = Dataset(ds.features[:, :50], ds.labels, ds.feature_names[:50])
         screen(small, ScreeningConfig(step_size=30, reduced_size=5, n_canaries=10,
                                       forest=_forest(n_trees=2, n_subfeatures=3)))
         cli._screen_baseline(small, ScreenerSpec("kbest", {"n_out": 20, "seed": 8}),
