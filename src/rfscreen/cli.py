@@ -316,8 +316,11 @@ def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
                 f"dataset has {dataset.n_features}")
         return FittedScreener(pca=model)
     position = {name: i for i, name in enumerate(dataset.feature_names)}
-    columns = []
+    columns = {}
     for item in doc["selected"]:
+        if item["name"] in columns:
+            raise ValidationError(f"selected feature {item['name']!r} is listed twice; "
+                                  "the screening result is malformed")
         if item.get("is_canary"):
             raise ValidationError(
                 f"selected feature {item['name']!r} is a canary and does not exist "
@@ -326,8 +329,8 @@ def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
             raise ValidationError(
                 f"selected feature {item['name']!r} not found in the dataset; "
                 "feature names do not match")
-        columns.append(position[item["name"]])
-    return FittedScreener(selected=FeatureSubset(tuple(columns)))
+        columns[item["name"]] = position[item["name"]]
+    return FittedScreener(selected=FeatureSubset(tuple(columns.values())))
 
 
 def _screener_spec_from_document(doc: dict, n_features: int) -> ScreenerSpec:

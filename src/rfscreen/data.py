@@ -87,10 +87,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FeatureSubset:
-    """Ordered selection of feature positions, most important first.
-
-    Indices are 0-based internally; :meth:`one_based` is the reporting form.
-    """
+    """Ordered selection of 0-based feature positions, most important first."""
 
     indices: tuple[int, ...] = field(default_factory=tuple)
 
@@ -104,9 +101,6 @@ class FeatureSubset:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def one_based(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in self.indices)
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:

@@ -29,6 +29,8 @@ from .rfms import ScreeningConfig, screen
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
 CLASSIFIER_NAMES = ("knn", "rf", "majority")
+_RESCORE_ELEMENTS = 1 << 15  # a chunk of the exact kNN re-score gathers about this many floats
+_GATHER_BYTES = 1 << 18  # a fold gather copies column blocks of about this many bytes
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,10 @@ def _neighbours(train_X, train_y, queries, k) -> np.ndarray:
     # Screen: one matmul gives the proxy |q|^2 + |x|^2 - 2 q.x, within tol of the
     # exact distance (the sum of diff*diff over one row) in any summation order
     # by Higham's gamma_d bound.  Rows within 2 tol of the k-th proxy, or whose
-    # proxy or cut overflowed, are re-scored exactly; ties go to the lower row.
-    # A larger k keeps a superset of rows, so the first j columns are the j-NN.
+    # proxy or cut overflowed, are kept.  Every kept (query, row) pair is re-scored
+    # exactly over C-order row copies, in chunks, and one stable lexsort orders each
+    # query's pairs; ties go to the lower row.  A larger k keeps a superset of rows,
+    # so the first j columns are the j-NN.
     if not np.isfinite(queries).all():
         raise ValueError("kNN query holds a non-finite value (NaN or inf)")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,13 +156,16 @@ def _neighbours(train_X, train_y, queries, k) -> np.ndarray:
         tol = 4 * (train_X.shape[1] + 1) * np.finfo(np.float64).eps * (q_sq + x_sq.max())
         cut = np.partition(proxy, k - 1, axis=1)[:, k - 1] + 2.0 * tol
     keep = (proxy <= np.where(np.isfinite(cut), cut, np.inf)[:, None]) | ~np.isfinite(proxy)
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for i, q in enumerate(queries):
-        rows = np.flatnonzero(keep[i])
-        diffs = train_X[rows]  # (x - q)**2 has the bits of (q - x)**2
-        dist2 = np.sum(np.square(np.subtract(diffs, q, out=diffs), out=diffs), axis=1)
-        out[i] = train_y[rows[np.argsort(dist2, kind="stable")[:k]]]
-    return out
+    query, rows = np.nonzero(keep)
+    dist2 = np.empty(rows.size)
+    step = max(1, _RESCORE_ELEMENTS // train_X.shape[1])
+    for s in range(0, rows.size, step):
+        diffs = train_X[rows[s:s + step]]  # (x - q)**2 has the bits of (q - x)**2
+        diffs -= queries[query[s:s + step]]
+        dist2[s:s + step] = np.sum(np.square(diffs, out=diffs), axis=1)
+    nearest = rows[np.lexsort((dist2, query))]
+    first = np.searchsorted(query, np.arange(queries.shape[0]))  # each query's nearest pair
+    return train_y[nearest[first[:, None] + np.arange(k)]]
 
 
 def fit_classifier(spec: ClassifierSpec, train_X: np.ndarray,
@@ -238,16 +245,27 @@ def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx, whole=None) 
     return fits
 
 
+def _gather(features: np.ndarray, rows, cols) -> np.ndarray:
+    """``features[np.ix_(rows, cols)]`` as a C-order matrix, copied from whole columns
+    of the column-major table one block of about ``_GATHER_BYTES`` at a time."""
+    out = np.empty((len(rows), len(cols)))
+    step = max(1, _GATHER_BYTES // (8 * features.shape[0]))
+    for j in range(0, len(cols), step):
+        out[:, j:j + step] = features[:, cols[j:j + step]][rows]
+    return out
+
+
 def _fold_pass(dataset: Dataset, classifiers, folds_idx, fits) -> list:
     """Per classifier, one ``(test labels, fitting cpu_s)`` per fold: each fold is
-    gathered once for all of them, and the kNN ones vote over prefixes of one
-    neighbour search at their largest ``k``, sharing that fit's CPU time."""
+    gathered once for all of them by :func:`_gather` and freed before the next, and
+    the kNN ones vote over prefixes of one neighbour search at their largest ``k``,
+    sharing that fit's CPU time."""
     widest = max((c for c in classifiers if c.name == "knn"), default=None,
                  key=lambda c: int(c.params["k"]))
     out = [[] for _ in classifiers]
     for (train_rows, test_rows), (fitted, _) in zip(folds_idx, fits, strict=True):
         train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows]) if fitted.transforming
-                           else dataset.features[np.ix_(rows, fitted.selected.indices)]
+                           else _gather(dataset.features, rows, fitted.selected.indices)
                            for rows in (train_rows, test_rows))
         train = (train_X, dataset.labels[train_rows])
         if widest is not None:

@@ -295,6 +295,26 @@ class TestEvaluate:
             "runtime error: a training fold holds a single class; cross-validation needs 2\n")
         assert not (workspace / "once.json").exists()
 
+    def test_feature_listed_twice_rejected_before_any_fold(self, workspace, monkeypatch, capsys):
+        cfg, result = workspace / "kbest.cfg", workspace / "kbest.json"
+        cfg.write_text("reduced-size = 5\n", encoding="utf-8")
+        data = ["--data", str(workspace / "data.csv")]
+        assert main(["screen", "--screener", "kbest", *data, "--config", str(cfg),
+                     "--out", str(result)]) == 0
+        doc = read_json(result)
+        doc["selected"].append(doc["selected"][0])
+        result.write_text(json.dumps(doc), encoding="utf-8")
+        splits = []
+        monkeypatch.setattr(evaluate, "stratified_kfold", lambda *args: splits.append(args))
+        capsys.readouterr()
+        assert main(["evaluate", "--classifier", "all", *data, "--result", str(result),
+                     "--out", str(workspace / "twice")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: selected feature {doc['selected'][0]['name']!r} is listed twice; "
+            "the screening result is malformed\n")
+        assert splits == []
+        assert not (workspace / "twice.json").exists()
+
     @pytest.mark.parametrize("top_level", [[], "x"])
     def test_non_object_result_rejected(self, workspace, capsys, top_level):
         bogus = workspace / "bogus.json"

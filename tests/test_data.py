@@ -151,9 +151,6 @@ class TestFeatureSubset:
         with pytest.raises(ValueError):
             FeatureSubset((1, 1))
 
-    def test_one_based_reporting(self):
-        assert FeatureSubset((0, 4, 2)).one_based() == (1, 5, 3)
-
 
 class TestStratifiedKfold:
     def test_balanced_arithmetic(self):

@@ -98,18 +98,23 @@ class TestKnnScreen:
 
     Every case is built so that the proxy distance cannot order the rows:
     exact ties, ties one ulp apart, and offsets or magnitudes where the proxy
-    cancels or overflows.  Labels must equal the distance-sort oracle's, one
-    query at a time and in one batch.
+    cancels or overflows.  The exact re-score runs over the kept (query, row)
+    pairs in chunks of about ``_RESCORE_ELEMENTS`` floats, so some cases make
+    one query's pairs span several chunks and chunk edges fall inside them.
+    Labels must equal the distance-sort oracle's, one query at a time, in one
+    batch, and as prefixes of one search at the largest ``k``.
     """
 
     @staticmethod
     def _check(X, y, queries, ks):
         X, y, queries = np.asarray(X, float), np.asarray(y), np.asarray(queries, float)
+        nearest = fit_classifier(ClassifierSpec("knn", {"k": max(ks)}), X, y).neighbours(queries)
         for k in ks:
             expected = [oracle_knn(X, y, q, k) for q in queries]
             clf = fit_classifier(ClassifierSpec("knn", {"k": k}), X, y)
             assert [_predict_one(clf, q) for q in queries] == expected
             assert clf.predict(queries).tolist() == expected
+            assert evaluate._vote(nearest[:, :k]).tolist() == expected
 
     def test_duplicated_rows_straddle_the_cut(self):
         rng = np.random.default_rng(31)
@@ -145,6 +150,28 @@ class TestKnnScreen:
         y = rng.integers(1, 4, size=40)
         queries = np.vstack([X[:5], 1e8 + rng.normal(size=(15, 6))])
         self._check(X, y, queries, ks=(1, 3, 5))
+
+    def test_wide_rows_leave_two_per_chunk(self):
+        rng = np.random.default_rng(41)
+        d = evaluate._RESCORE_ELEMENTS // 2
+        X = rng.integers(0, 2, size=(16, d))
+        queries = np.vstack([X[:2], rng.integers(0, 2, size=(3, d))])
+        self._check(X, rng.integers(1, 4, size=16), queries, ks=range(1, 8))
+
+    def test_duplicated_rows_straddle_chunk_edges(self):
+        # three rows a chunk; every row four times, so a cut keeps groups of four
+        rng = np.random.default_rng(42)
+        base = rng.normal(size=(5, evaluate._RESCORE_ELEMENTS // 3))
+        queries = np.vstack([base[:3], base[3:] + 1e-3 * rng.normal(size=base[3:].shape)])
+        self._check(np.vstack([base] * 4), rng.integers(1, 4, size=20), queries, ks=range(1, 10))
+
+    def test_every_row_a_candidate_at_an_offset_spans_chunks(self):
+        # at 1e8 the screen keeps all 40 rows, about 2.5 chunks of 16 per query
+        rng = np.random.default_rng(43)
+        X = 1e8 + rng.normal(size=(40, 2000))
+        X[20:25] = X[:5]
+        queries = np.vstack([X[:4], 1e8 + rng.normal(size=(4, 2000))])
+        self._check(X, rng.integers(1, 4, size=40), queries, ks=range(1, 13))
 
     def test_k_equals_n_train(self):
         rng = np.random.default_rng(35)
@@ -217,6 +244,28 @@ class TestSharedNeighbourSearch:
                 assert labels.tolist() == clf.predict(X[test_rows]).tolist()
                 assert labels.tolist() == [oracle_knn(train_X, train_y, q, k)
                                            for q in X[test_rows]]
+
+
+class TestFoldGather:
+    """A fold gathers its rows of the selected columns in blocks of whole columns."""
+
+    ROWS = 400
+    BLOCK = evaluate._GATHER_BYTES // (8 * ROWS)  # columns a block copies
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return _shifted_table(self.ROWS, 2100)
+
+    @pytest.mark.parametrize("width", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2000])
+    def test_equals_the_ix_gather_bit_for_bit(self, table, width):
+        rng = np.random.default_rng(width)
+        rows = rng.permutation(self.ROWS)[:320]  # unsorted, as no fold is
+        cols = tuple(int(c) for c in rng.permutation(table.n_features)[:width])
+        out = evaluate._gather(table.features, rows, cols)
+        expected = table.features[np.ix_(rows, cols)]
+        assert out.flags.c_contiguous
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestFitScreener:
@@ -583,6 +632,14 @@ class TestMemory:
         peak = traced_peak(lambda: grid_search(paper_shape, [ScreenerSpec("identity")], grid,
                                                folds=5, seed=2))
         assert peak < 1.1 * paper_shape.features.nbytes
+
+    def test_fold_pass_holds_one_fold_and_a_column_block(self):
+        ds = _shifted_table(400, 2000)
+        grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
+        folds_idx = stratified_kfold(ds, 5, 3)
+        fits = evaluate._fit_folds(ds, ScreenerSpec("identity"), folds_idx)
+        peak = traced_peak(lambda: evaluate._fold_pass(ds, grid, folds_idx, fits))
+        assert peak <= 1.25 * ds.n_samples * ds.n_features * 8  # one fold's train and test
 
     def test_full_width_screen_once_sweep_holds_one_fold(self, paper_shape):
         grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
