@@ -13,8 +13,8 @@ from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_k
 from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSpec,
                        SweepRow, convergence_sweep, cross_validate, fit_screener,
                        grid_search, screen_once_report)
-from .forest import (ForestModel, ForestParams, Tree, best_split, dump_forest, forest_predict,
-                     forest_predict_batch, selection_frequency, train_forest)
+from .forest import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
+                     selection_frequency, train_forest)
 from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, canary_block,
                    partition_features, permute_features, screen)
 from .synth import GeneratorConfig, Provenance, generate, truth_overlap
@@ -25,9 +25,9 @@ __all__ = [
     "ClassifierSpec", "CsvFormatError", "Dataset", "EvaluationReport", "FeatureSubset",
     "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel", "Provenance",
     "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig", "ScreeningResult",
-    "SweepRow", "Tree", "best_split", "canary_block",
+    "SweepRow", "Tree", "canary_block",
     "convergence_sweep", "cross_validate", "dump_forest", "f_scores", "fit_screener",
-    "forest_predict", "forest_predict_batch", "generate",
+    "forest_predict_batch", "generate",
     "grid_search", "kbest_fscore", "load_csv", "partition_features",
     "pca_fit", "pca_transform", "permute_features", "random_subset",
     "screen", "screen_once_report", "selection_frequency",

@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 from .baselines import f_scores, pca_fit, random_subset, top_k
@@ -385,9 +386,11 @@ def cmd_sweep(args) -> int:
     if spec.name == "pca" and max(counts) > min(dataset.n_samples, dataset.n_features):
         raise ValidationError("feature-counts exceed the PCA component limit")
     grids = [_classifier_grid(cfg, args.classifier, dataset, count) for count in counts]
-    rows = [row for count, grid in zip(counts, grids)
-            for row in convergence_sweep(dataset, spec, grid, [count], folds=cfg["folds"],
-                                         seed=cfg["random-state"], leak_safe=args.leak_safe)]
+    # one sweep per run of adjacent counts with equal grids, so k-best fits once per run
+    rows = [row for grid, run in groupby(zip(grids, counts), key=lambda pair: pair[0])
+            for row in convergence_sweep(dataset, spec, grid, [count for _, count in run],
+                                         folds=cfg["folds"], seed=cfg["random-state"],
+                                         leak_safe=args.leak_safe)]
     base = _write_pair(sweep_document(rows, args.screener, cfg["folds"]), records_csv(rows),
                        args.out)
     for row in rows:

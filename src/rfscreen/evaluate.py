@@ -123,6 +123,8 @@ def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScree
                 "cannot reduce to original columns"
             )
         return FittedScreener(selected=result.selected)
+    if "n_out" not in p:
+        raise ValueError(f"a {spec.name} spec needs params['n_out'] to be fitted")
     n_out = int(p["n_out"])
     if spec.name == "kbest":
         return FittedScreener(selected=kbest_fscore(dataset, n_out, rows))

@@ -211,33 +211,6 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     return out
 
 
-def best_split(dataset: Dataset, sample_indices, candidate_features,
-               min_samples_leaf: int = 1, min_purity_increase: float = 0.0):
-    """Best admissible (feature, threshold, decrease) over candidates, or None.
-
-    Both children of an admissible split hold at least ``min_samples_leaf``
-    samples and its weighted Gini decrease is at least
-    ``min_purity_increase``.  Ties go to the lower feature index, then the
-    lower threshold.
-    """
-    idx = np.asarray(sample_indices, dtype=np.int64)
-    if idx.shape[0] < 2:
-        raise ValueError("best_split needs at least 2 samples")
-    cand = np.unique(np.asarray(candidate_features, dtype=np.int64))
-    if cand.size == 0:
-        return None
-    if cand.min() < 0 or cand.max() >= dataset.n_features:
-        raise ValueError("candidate feature index out of range")
-    y0 = dataset.labels - 1
-    counts = np.bincount(y0[idx], minlength=dataset.n_classes)
-    if np.count_nonzero(counts) < 2:
-        return None  # pure node: nothing to gain
-    X = dataset.features[:, cand]
-    split, = _scan(X, _dense_ranks(X), y0, [(idx, np.arange(cand.size), counts)],
-                   dataset.n_classes, min_samples_leaf, min_purity_increase)
-    return None if split is None else (int(cand[split[0]]), *split[1:])
-
-
 def _draw_bootstrap(rng, n_samples: int, partial_sampling: float) -> np.ndarray:
     """In-bag sample indices: the first draw of a tree's stream ``rng``."""
     return rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
@@ -350,14 +323,6 @@ def forest_predict_batch(model: ForestModel, X) -> np.ndarray:
     for tree in model.trees:
         votes[rows, _tree_predict(tree, X)] += 1
     return np.argmax(votes, axis=1)
-
-
-def forest_predict(model: ForestModel, features) -> int:
-    """:func:`forest_predict_batch` for a single row."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected a vector of length {model.n_features}")
-    return int(forest_predict_batch(model, x[None, :])[0])
 
 
 def selection_frequency(model: ForestModel) -> np.ndarray:

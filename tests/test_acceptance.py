@@ -15,13 +15,14 @@ import pytest
 from helpers import (make_dataset, mask_timing, oracle_best_split, oracle_f_scores,
                      oracle_knn, random_split_instance)
 from rfscreen import (ClassifierSpec, Dataset, ForestParams, GeneratorConfig, ScreenerSpec,
-                      ScreeningConfig, best_split, convergence_sweep, cross_validate,
+                      ScreeningConfig, convergence_sweep, cross_validate,
                       f_scores, generate, partition_features, permute_features,
                       random_subset, screen, selection_frequency, train_forest,
                       truth_overlap)
 from rfscreen.cli import main
 from rfscreen.evaluate import fit_classifier
 from rfscreen.serialize import dumps, read_json
+from test_forest import best_split
 
 ACC_GENERATOR = GeneratorConfig(
     n_classes=20, n_samples_per_class=16,

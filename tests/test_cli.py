@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,3 +570,19 @@ class TestParsing:
         assert main([*argv, "--threads", "0"]) == 2
         assert "--threads" in capsys.readouterr().err
         assert sorted(workspace.iterdir()) == before
+
+
+# what ``import rfscreen.cli`` may load beyond numpy's own imports; each CLI process pays
+# for every module it adds before any work starts
+CLI_STDLIB_IMPORTS = {"__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses",
+                      "gettext", "json", "json.decoder", "json.encoder", "json.scanner"}
+
+
+def test_cli_import_adds_no_module_beyond_the_known_standard_library():
+    code = ("import sys, numpy\nloaded = set(sys.modules)\nimport rfscreen.cli\n"
+            "print(*sorted(set(sys.modules) - loaded))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    added = {name for name in done.stdout.split() if name.partition(".")[0] != "rfscreen"}
+    assert added <= CLI_STDLIB_IMPORTS, sorted(added - CLI_STDLIB_IMPORTS)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_dataset, oracle_f_scores
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
-                      best_split, canary_block, dump_forest, f_scores,
+                      canary_block, dump_forest, f_scores,
                       forest_predict_batch, kbest_fscore, load_csv, partition_features,
                       pca_transform, permute_features, pca_fit, screen,
                       selection_frequency, train_forest)
@@ -38,16 +38,6 @@ class TestDataEdges:
 
 
 class TestForestEdges:
-    def test_best_split_needs_two_samples(self):
-        ds = make_dataset([[1.0]], [1])
-        with pytest.raises(ValueError, match="2 samples"):
-            best_split(ds, [0], [0])
-
-    def test_best_split_candidate_out_of_range(self):
-        ds = make_dataset([[1.0], [2.0]], [1, 2])
-        with pytest.raises(ValueError, match="out of range"):
-            best_split(ds, [0, 1], [5])
-
     def test_tiny_bootstrap_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [1, 2])
         with pytest.raises(ValueError, match="bootstrap"):

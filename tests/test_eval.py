@@ -437,6 +437,15 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="ScreeningConfig"):
             make()
 
+    @pytest.mark.parametrize("name", ["kbest", "random", "pca"])
+    def test_a_spec_without_a_width_fails_by_name_when_fitted(self, name):
+        spec = ScreenerSpec(name)  # constructs: a sweep gives each count its width
+        ds, knn = _blobs(seed=4, n=30, f=6), ClassifierSpec("knn", {"k": 1})
+        with pytest.raises(ValueError, match=rf"a {name} spec needs params\['n_out'\]"):
+            cross_validate(ds, spec, knn, folds=3)
+        with pytest.raises(ValueError, match=r"params\['n_out'\]"):
+            grid_search(ds, [spec], [knn], folds=3)
+
     def test_rfms_width_is_the_config_reduced_size(self):
         spec = _rfms(2).with_n_out(3)
         assert spec.config == ScreeningConfig(step_size=4, reduced_size=3,

@@ -5,10 +5,25 @@ import pytest
 
 from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
                      oracle_forest_predict, oracle_gini, random_split_instance)
-from rfscreen import (ForestModel, ForestParams, Tree, best_split, dump_forest, forest_predict,
-                      forest_predict_batch, selection_frequency, train_forest)
-from rfscreen.forest import _dense_ranks, _draw_bootstrap, _scan_pass
+from rfscreen import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
+                      selection_frequency, train_forest)
+from rfscreen.forest import _dense_ranks, _draw_bootstrap, _scan, _scan_pass
 from rfscreen.rng import stream
+
+
+def best_split(ds, rows, candidates, min_samples_leaf=1, min_purity_increase=0.0):
+    """The best admissible ``(feature, threshold, decrease)`` of the node ``rows`` over the
+    sorted ``candidates``, or None: :func:`rfscreen.forest._scan` of one job, as a tree's
+    growth scans it.  A pure node is never scanned, so it has no split."""
+    rows, cand = np.asarray(rows), np.asarray(candidates)
+    y0 = ds.labels - 1
+    counts = np.bincount(y0[rows], minlength=ds.n_classes)
+    if np.count_nonzero(counts) < 2:
+        return None
+    X = ds.features[:, cand]
+    split, = _scan(X, _dense_ranks(X), y0, [(rows, np.arange(cand.size), counts)],
+                   ds.n_classes, min_samples_leaf, min_purity_increase)
+    return None if split is None else (int(cand[split[0]]), *split[1:])
 
 
 def _bootstrap(params: ForestParams, n_samples: int, t: int) -> np.ndarray:
@@ -266,22 +281,22 @@ class TestForestPredict:
     def test_stump_routes_left(self):
         model = ForestModel(trees=[_stump(0, 1.0, left_class=1, right_class=2)],
                             n_features=2, n_classes=2, params=_params(n_trees=1))
-        assert forest_predict(model, [0.5, 9.9]) == 1
-        assert forest_predict(model, [1.0, 9.9]) == 1  # x == threshold goes left
-        assert forest_predict(model, [1.5, 9.9]) == 2
+        assert forest_predict_batch(model, [[0.5, 9.9]]).tolist() == [1]
+        assert forest_predict_batch(model, [[1.0, 9.9]]).tolist() == [1]  # x == threshold: left
+        assert forest_predict_batch(model, [[1.5, 9.9]]).tolist() == [2]
 
     def test_majority_vote(self):
         model = _leaf_only_model([2, 2, 5])
-        assert forest_predict(model, [0.0] * 4) == 2
+        assert forest_predict_batch(model, [[0.0] * 4]).tolist() == [2]
 
     def test_vote_tie_prefers_smaller_class(self):
         model = _leaf_only_model([1, 2])
-        assert forest_predict(model, [0.0] * 4) == 1
+        assert forest_predict_batch(model, [[0.0] * 4]).tolist() == [1]
 
     def test_length_mismatch_rejected(self):
         model = _leaf_only_model([1, 2])
-        with pytest.raises(ValueError):
-            forest_predict(model, [0.0] * 5)
+        with pytest.raises(ValueError, match="4 columns"):
+            forest_predict_batch(model, [[0.0] * 5])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_batch_matches_row_walk_oracle(self, seed):

@@ -27,8 +27,8 @@ import pytest
 
 from helpers import make_dataset, mask_timing, tied_table
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
-                      ScreeningConfig, cli, convergence_sweep, dump_forest, evaluate,
-                      forest_predict, forest_predict_batch, generate, grid_search, screen,
+                      ScreeningConfig, baselines, cli, convergence_sweep, dump_forest, evaluate,
+                      forest_predict_batch, generate, grid_search, screen,
                       selection_frequency, train_forest)
 from rfscreen.evaluate import fit_classifier
 
@@ -135,7 +135,8 @@ def test_forest_matches_golden():
 
 def test_single_row_predict_matches_golden():
     model, queries = forest_case()
-    assert [forest_predict(model, q) for q in queries] == GOLDEN["forest"]["predict_batch"]
+    assert ([int(forest_predict_batch(model, q[None, :])[0]) for q in queries]
+            == GOLDEN["forest"]["predict_batch"])
 
 
 @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
@@ -353,6 +354,39 @@ def test_rf_classifier_documents_match_golden(rf_workspace, name):
                      "--out", str(out)]) == 0
     doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert masked_sha256(doc) == GOLDEN["rf"][name]
+
+
+@pytest.mark.parametrize("classifier, counts, leak_safe, f_scores_calls", [
+    ("knn", [3, 6, 12, 24], True, 3),  # one grid: one k-best fit per fold
+    ("all", [3, 6, 12, 24], True, 9),  # rf draws round(sqrt(count)): 2, 2, 3 and 5 candidates
+    ("knn", [24, 3, 6], True, 3),
+    ("all", [24, 3, 6], True, 6),
+    ("knn", [3, 6, 12, 24], False, 1),
+])
+def test_cli_sweep_fits_kbest_once_per_classifier_grid(rf_workspace, monkeypatch, classifier,
+                                                       counts, leak_safe, f_scores_calls):
+    """Adjacent counts with one classifier grid share a k-best fit, and the masked document
+    is the one that sweeps of one count each make, their rows in the input order."""
+    scored, f_scores = [], baselines.f_scores
+    monkeypatch.setattr(baselines, "f_scores",
+                        lambda *args: scored.append(1) or f_scores(*args))
+
+    def sweep(name, run_counts):
+        cfg = rf_workspace / f"{name}.cfg"
+        cfg.write_text(RF_EVAL_CFG + f"feature-counts = {', '.join(map(str, run_counts))}\n",
+                       encoding="utf-8")
+        assert cli.main(["sweep", "--screener", "kbest", "--classifier", classifier,
+                         *["--leak-safe"] * leak_safe, "--data", str(rf_workspace / "data.csv"),
+                         "--config", str(cfg), "--out", str(rf_workspace / name)]) == 0
+        doc = json.loads((rf_workspace / f"{name}.json").read_text(encoding="utf-8"))
+        return {**doc, "rows": [{**row, "screening_cpu_s": 0.0, "fitting_cpu_s": 0.0}
+                                for row in doc["rows"]]}
+
+    grouped = sweep("grouped", counts)
+    assert len(scored) == f_scores_calls
+    assert [row["n_features_out"] for row in grouped["rows"]] == counts
+    alone = [sweep(f"alone{count}", [count]) for count in counts]
+    assert grouped == {**alone[0], "rows": [row for doc in alone for row in doc["rows"]]}
 
 
 # name -> (screener, config) for ``screen`` on the rf workspace's 24-column table; the
