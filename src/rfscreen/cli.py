@@ -152,10 +152,10 @@ def _load_config(args, schema, context) -> dict:
         if args.folds < 2:
             raise ValidationError("--folds must be at least 2")
         cfg["folds"] = args.folds
-    # --threads is checked but unused: a forest grows in one batched pass.
+    # --threads is no config key: it sets every forest's ForestParams.n_workers
     if args.threads is not None and args.threads < 1:
         raise ValidationError("--threads must be at least 1")
-    return cfg
+    return {**cfg, "threads": args.threads or 1}
 
 
 def _load_dataset(args) -> Dataset:
@@ -200,7 +200,8 @@ def _forest_params(cfg: dict, prefix: str, width: int, rounding) -> ForestParams
         "n-trees", "min-samples-leaf", "min-purity-increase", "partial-sampling")}
     explicit = cfg[prefix + "n-subfeatures"]
     return ForestParams(**forest, n_subfeatures=min(explicit, width) if explicit
-                        else rounding(math.sqrt(width)), seed=cfg["random-state"])
+                        else rounding(math.sqrt(width)), seed=cfg["random-state"],
+                        n_workers=cfg["threads"])
 
 
 def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> ScreenerSpec:
@@ -247,7 +248,7 @@ def cmd_generate(args) -> int:
     try:
         gen_config = GeneratorConfig(**{
             "seed" if key == "random-state" else key.replace("-", "_"): value
-            for key, value in cfg.items()})
+            for key, value in cfg.items() if key != "threads"})
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     dataset, provenance = generate(gen_config)
@@ -334,7 +335,7 @@ def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
     return FittedScreener(selected=FeatureSubset(tuple(columns.values())))
 
 
-def _screener_spec_from_document(doc: dict, n_features: int) -> ScreenerSpec:
+def _screener_spec_from_document(doc: dict, n_features: int, threads: int) -> ScreenerSpec:
     """The spec a stored ``screener`` block names; its keys are screen keys, ``_`` for ``-``."""
     raw = {key.replace("_", "-"): value for key, value in doc["screener"].items()}
     name = raw.pop("name")
@@ -342,7 +343,7 @@ def _screener_spec_from_document(doc: dict, n_features: int) -> ScreenerSpec:
         raw["reduced-size"] = raw.pop("n-out")
     # canaries are a whole-table diagnostic, not a CV step
     cfg = _resolve_config({**raw, "n-canaries": 0}, _SCREEN_KEYS, "stored screener")
-    return _screener_spec(name, cfg, cfg["reduced-size"], n_features)
+    return _screener_spec(name, {**cfg, "threads": threads}, cfg["reduced-size"], n_features)
 
 
 def cmd_evaluate(args) -> int:
@@ -353,7 +354,7 @@ def cmd_evaluate(args) -> int:
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
-        spec = _screener_spec_from_document(doc, dataset.n_features)
+        spec = _screener_spec_from_document(doc, dataset.n_features, cfg["threads"])
         report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         fitted = _selection_from_document(doc, dataset)
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override random-state")
         p.add_argument("--threads", type=int,
-                       help="checked (>= 1) but unused")
+                       help="worker processes per forest, capped at usable CPUs and trees")
         p.add_argument("--label-column", default="label")
         if data:
             p.add_argument("--data", required=True, help="input dataset CSV")

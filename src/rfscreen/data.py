@@ -92,8 +92,8 @@ class FeatureSubset:
     indices: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        idx = tuple(map(int, self.indices))
+        if idx and min(idx) < 0:
             raise ValueError("feature indices must be nonnegative")
         if len(set(idx)) != len(idx):
             raise ValueError("feature indices must be distinct")

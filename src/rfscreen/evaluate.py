@@ -10,13 +10,12 @@ default, is :func:`fit_screener` on the whole table and
 :func:`screen_once_report`, where that one fit serves every fold.  kNN screens
 neighbours with one matmul and re-scores the rows near its cut exactly.  CPU
 cost is split into screening seconds (the reduction fits a cell uses, shared
-or not) and fitting seconds (classifier training), both measured as process
-CPU time.
+or not) and fitting seconds (classifier training), both measured as the CPU
+time of the process and of its forest workers.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .baselines import PcaModel, kbest_fscore, pca_fit, pca_transform, random_subset
 from .data import Dataset, FeatureSubset, stratified_kfold
-from .forest import ForestParams, forest_predict_batch, train_forest
+from .forest import ForestParams, _cpu_seconds, forest_predict_batch, train_forest
 from .rfms import ScreeningConfig, screen
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
@@ -221,9 +220,9 @@ class EvaluationReport:
 
 
 def _timed(fit, *args) -> tuple:
-    """``fit(*args)`` and its CPU seconds."""
-    t0 = time.process_time()
-    return fit(*args), time.process_time() - t0
+    """``fit(*args)`` and its CPU seconds, forest workers' included."""
+    t0 = _cpu_seconds()
+    return fit(*args), _cpu_seconds() - t0
 
 
 def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple[FittedScreener, float]:

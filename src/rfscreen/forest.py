@@ -16,6 +16,9 @@ and leaf-label ties prefer the smallest class id.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,8 @@ class ForestParams:
     ``floor(partial_sampling * n_samples)`` samples with replacement.
     Depth is unconstrained; growth stops on purity, on
     ``min_samples_leaf``, or when no split gains at least
-    ``min_purity_increase`` weighted Gini decrease.
+    ``min_purity_increase`` weighted Gini decrease.  ``n_workers`` processes
+    grow the trees, at most one per tree and per usable CPU, for the same bits.
     """
 
     n_trees: int
@@ -41,6 +45,7 @@ class ForestParams:
     min_purity_increase: float = 0.0
     partial_sampling: float = 0.7
     seed: int = 20230125
+    n_workers: int = 1
 
     def validate(self, n_features: int | None = None, n_samples: int | None = None) -> None:
         if self.n_trees < 1:
@@ -53,6 +58,8 @@ class ForestParams:
             raise ValueError("min_purity_increase must be nonnegative")
         if not 0.0 < self.partial_sampling <= 1.0:
             raise ValueError("partial_sampling must be in (0, 1]")
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be positive")
         if n_features is not None and self.n_subfeatures > n_features:
             raise ValueError(
                 f"n_subfeatures={self.n_subfeatures} exceeds n_features={n_features}"
@@ -216,16 +223,17 @@ def _draw_bootstrap(rng, n_samples: int, partial_sampling: float) -> np.ndarray:
     return rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
 
 
-def _grow_tree(X, y0, k, partial_sampling, n_subfeatures, msl, rng):
+def _grow_tree(X, y0, k, params: ForestParams, rng):
     """Grow one tree as a generator: it yields ``(rows, candidates, class
     counts)`` for each splittable node, takes that node's best split (or
     None) back, and returns the finished :class:`Tree`."""
     # Iterative depth-first, left child first, so the per-node candidate
     # draws consume the stream in a schedule-independent order.  Popping in
     # that order is also preorder, so a node's id is the count popped before
-    # it; only a right child's id is unknown until it is popped.
+    # it; only a right child's id is unknown until it is popped.  The stack
+    # holds (rows, parent if a right child else -1).
     feature, threshold, right, counts = [], [], [], []
-    stack = [(_draw_bootstrap(rng, len(X), partial_sampling), -1)]  # (rows, parent if right child)
+    stack = [(_draw_bootstrap(rng, len(X), params.partial_sampling), -1)]
     n_features = X.shape[1]
     while stack:
         idx, parent = stack.pop()
@@ -236,8 +244,8 @@ def _grow_tree(X, y0, k, partial_sampling, n_subfeatures, msl, rng):
         counts.extend(node_counts.tolist())
         right.append(-1)
         split = None
-        if np.count_nonzero(node_counts) > 1 and idx.shape[0] >= 2 * msl:
-            cand = np.sort(rng.choice(n_features, size=n_subfeatures, replace=False))
+        if np.count_nonzero(node_counts) > 1 and idx.shape[0] >= 2 * params.min_samples_leaf:
+            cand = np.sort(rng.choice(n_features, size=params.n_subfeatures, replace=False))
             split = yield idx, cand, node_counts
         if split is None:
             feature.append(-1)
@@ -261,25 +269,15 @@ def _grow_tree(X, y0, k, partial_sampling, n_subfeatures, msl, rng):
     )
 
 
-def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
-    """Train ``params.n_trees`` bootstrap CART trees.
+def _cpu_seconds() -> float:
+    """CPU seconds of this process and of its reaped children, the forest workers."""
+    return time.process_time() + sum(os.times()[2:4])  # children's user and system
 
-    Tree ``t`` derives bootstrap and per-node feature draws from the stream
-    keyed by ``(params.seed, t)``.  The trees grow in lockstep: each step
-    scans the next splittable node of every unfinished tree in batched
-    passes, which leaves every tree as it would be grown alone.
-    """
-    if dataset.n_samples < 1:
-        raise ValueError("dataset is empty")
-    params.validate(n_features=dataset.n_features, n_samples=dataset.n_samples)
-    X = dataset.features
-    y0 = dataset.labels - 1
-    k = dataset.n_classes
-    ranks = _dense_ranks(X)
-    growers = [_grow_tree(X, y0, k, params.partial_sampling, params.n_subfeatures,
-                          params.min_samples_leaf, stream(params.seed, t))
-               for t in range(params.n_trees)]
-    trees, jobs = [None] * params.n_trees, {}
+
+def _grow_trees(X, ranks, y0, k, params: ForestParams, tree_ids: range) -> list[Tree]:
+    """Trees ``tree_ids``, grown in lockstep: one batched scan per step."""
+    growers = {t: _grow_tree(X, y0, k, params, stream(params.seed, t)) for t in tree_ids}
+    trees, jobs = {}, {}
 
     def advance(t, split):
         try:
@@ -288,7 +286,7 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
             trees[t] = done.value
             jobs.pop(t, None)
 
-    for t in range(params.n_trees):
+    for t in tree_ids:
         advance(t, None)
     while jobs:  # one lockstep step: the next splittable node of every tree
         waiting = list(jobs)
@@ -296,6 +294,55 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
                        params.min_samples_leaf, params.min_purity_increase)
         for t, split in zip(waiting, splits):
             advance(t, split)
+    return [trees[t] for t in tree_ids]
+
+
+def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
+    """Train ``params.n_trees`` bootstrap CART trees.
+
+    Tree ``t`` derives bootstrap and per-node feature draws from the stream
+    keyed by ``(params.seed, t)``.  Each worker grows a contiguous range of
+    trees, the caller the first and a forked child each other one.  A child
+    makes no BLAS call, so BLAS threads that fork left behind cannot block it;
+    it pickles back its trees or its error, and is reaped before this returns.
+    """
+    if dataset.n_samples < 1:
+        raise ValueError("dataset is empty")
+    params.validate(n_features=dataset.n_features, n_samples=dataset.n_samples)
+    X = dataset.features
+    y0 = dataset.labels - 1
+    k = dataset.n_classes
+    ranks = _dense_ranks(X)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(params.n_workers, params.n_trees, cpus or 1) if hasattr(os, "fork") else 1
+    ranges = [range(params.n_trees * w // n, params.n_trees * (w + 1) // n) for w in range(n)]
+    children = []  # (pid, reader, tree ids) of each forked child
+    try:
+        for ids in ranges[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child grows its range and never returns
+                try:
+                    try:
+                        result = _grow_trees(X, ranks, y0, k, params, ids)
+                    except Exception as exc:
+                        result = repr(exc)
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(result, fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), ids))
+        trees = _grow_trees(X, ranks, y0, k, params, ranges[0])
+        for _, reader, ids in children:  # EOF: the child has sent all it will
+            result = pickle.loads(reader.read() or pickle.dumps("no result"))
+            if isinstance(result, str):
+                raise RuntimeError(f"forest worker for trees {ids[0]}..{ids[-1]} failed: {result}")
+            trees += result
+    finally:  # kill and reap every child; one whose trees were read is only exiting
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
     return ForestModel(trees=trees, n_features=dataset.n_features,
                        n_classes=k, params=params)
 

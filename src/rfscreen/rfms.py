@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, FeatureSubset
-from .forest import ForestParams, selection_frequency, train_forest
+from .forest import ForestParams, _cpu_seconds, selection_frequency, train_forest
 from .rng import derive_seed, stream
 
 _CANARY_STREAM = 0xCA
@@ -150,11 +150,11 @@ def screen(dataset: Dataset, config: ScreeningConfig, rows=None, n_threads=1) ->
     Within a round, importance ties are broken toward the smallest feature
     id so the whole run is reproducible.  Rounds are strictly sequential.
     Neither the table nor its rows are copied: a screen holds its input plus
-    one round's pool.  ``n_threads`` is accepted for existing callers and has
-    no effect: all trees of a forest already grow in one lockstep batch.
+    one round's pool.  ``config.forest.n_workers`` processes grow each round's
+    forest; ``n_threads`` is accepted for existing callers and does nothing.
     """
     t_wall = time.perf_counter()
-    t_cpu = time.process_time()
+    t_cpu = _cpu_seconds()
 
     rows = np.arange(dataset.n_samples) if rows is None else rows
     canaries = canary_block(dataset, config.n_canaries, config.seed, rows)
@@ -205,5 +205,5 @@ def screen(dataset: Dataset, config: ScreeningConfig, rows=None, n_threads=1) ->
         n_samples=canaries.n_samples,
         n_classes=canaries.n_classes,
         wall_time_s=time.perf_counter() - t_wall,
-        cpu_time_s=time.process_time() - t_cpu,
+        cpu_time_s=_cpu_seconds() - t_cpu,
     )

@@ -73,7 +73,7 @@ def screening_document(result: ScreeningResult) -> dict:
     """Full multiround screening result, rounds and permutation included."""
     cfg = result.config
     forest = dataclasses.asdict(cfg.forest)
-    del forest["seed"]  # each round derives its forest seed from random_state
+    del forest["seed"], forest["n_workers"]  # rounds derive seeds; workers change no bit
     return envelope(
         {"name": "rfms", "step_size": cfg.step_size, "reduced_size": cfg.reduced_size,
          **forest, "n_canaries": cfg.n_canaries, "random_state": cfg.seed},

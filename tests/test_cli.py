@@ -13,6 +13,7 @@ import pytest
 
 import rfscreen.cli as cli
 import rfscreen.evaluate as evaluate
+import rfscreen.rfms as rfms
 from helpers import mask_timing
 from rfscreen import (ClassifierSpec, Dataset, ReportEntry, ScreenerSpec, SweepRow, cross_validate,
                       load_csv)
@@ -248,7 +249,7 @@ class TestEvaluate:
                             lambda ds, config: real_screen(ds, ran.append(config) or config))
         code, out = _screen(workspace)
         assert code == 0
-        spec = cli._screener_spec_from_document(read_json(out), 40)
+        spec = cli._screener_spec_from_document(read_json(out), 40, 1)
         assert ran[0].n_canaries == 6
         assert spec.config == replace(ran[0], n_canaries=0)
 
@@ -427,6 +428,49 @@ class TestSweep:
         assert code == 2
         assert "knn-k must be at most 4" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+def _without_run_time(doc):
+    """``doc`` without its ``timing`` blocks and ``*_cpu_s`` fields."""
+    if isinstance(doc, dict):
+        return {k: _without_run_time(v) for k, v in doc.items()
+                if k != "timing" and not k.endswith("_cpu_s")}
+    if isinstance(doc, list):
+        return [_without_run_time(v) for v in doc]
+    return doc
+
+
+@pytest.mark.usefixtures("eight_cpus")
+class TestThreads:
+    """``--threads`` is the worker count of every forest, and it changes no output byte."""
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--classifier", "rf"],
+        ["evaluate", "--classifier", "rf", "--leak-safe"],
+        ["sweep", "--screener", "rfms", "--classifier", "rf", "--leak-safe"],
+    ], ids=["evaluate-rf", "evaluate-rf-leak-safe", "sweep-rfms-leak-safe"])
+    def test_documents_identical_at_one_and_four_threads(self, workspace, tmp_path,
+                                                         monkeypatch, command):
+        _, result = _screen(workspace)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 3\nrf-n-trees = 6\n" + (
+            "step-size = 20\nn-trees = 6\nfeature-counts = 3, 5\n"
+            if command[0] == "sweep" else ""), encoding="utf-8")
+        inputs = ["--data", str(workspace / "data.csv"), "--config", str(cfg)]
+        if command[0] == "evaluate":
+            inputs += ["--result", str(result)]
+        workers = []
+        for module in (rfms, evaluate):
+            monkeypatch.setattr(module, "train_forest", lambda ds, p, train=module.train_forest:
+                                train(ds, workers.append(p.n_workers) or p))
+        docs = []
+        for threads in (1, 4):
+            workers.clear()
+            out = workspace / f"threads{threads}"
+            assert main([*command, *inputs, "--out", str(out), "--threads", str(threads)]) == 0
+            assert set(workers) == {threads}
+            docs.append(dumps(_without_run_time(read_json(out.with_suffix(".json")))))
+        assert docs[0] == docs[1]
 
 
 def test_records_csv_writes_the_fields_in_order_with_repr_floats():

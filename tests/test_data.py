@@ -148,8 +148,18 @@ class TestDatasetModel:
 
 class TestFeatureSubset:
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^feature indices must be distinct$"):
             FeatureSubset((1, 1))
+
+    def test_negative_rejected_before_duplicates(self):
+        with pytest.raises(ValueError, match="^feature indices must be nonnegative$"):
+            FeatureSubset((2, -1, -1))
+
+    def test_indices_become_python_ints_in_order(self):
+        subset = FeatureSubset(np.array([4, 0, 7]))
+        assert subset.indices == (4, 0, 7)
+        assert all(type(i) is int for i in subset.indices)
+        assert FeatureSubset().indices == ()
 
 
 class TestStratifiedKfold:

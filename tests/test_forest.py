@@ -1,4 +1,7 @@
-"""Forest engine: split finding, training, prediction, importance."""
+"""Forest engine: split finding, training, prediction, importance, worker processes."""
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
                      oracle_forest_predict, oracle_gini, random_split_instance)
 from rfscreen import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
                       selection_frequency, train_forest)
+import rfscreen.forest as forest
 from rfscreen.forest import _dense_ranks, _draw_bootstrap, _scan, _scan_pass
 from rfscreen.rng import stream
 
@@ -252,6 +256,72 @@ class TestTrainForest:
                 mask = ds.features[members, feature] <= tree.threshold[node]
                 stack.append((tree.left[node], members[mask]))
                 stack.append((tree.right[node], members[~mask]))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_scan(monkeypatch, in_child: bool):
+    """Make ``_scan`` raise in the forked workers (``in_child``) or in the caller only."""
+    caller, scan = os.getpid(), forest._scan
+
+    def failing(*args):
+        if (os.getpid() != caller) == in_child:
+            raise ValueError("scan failed on purpose")
+        return scan(*args)
+    monkeypatch.setattr(forest, "_scan", failing)
+
+
+@pytest.mark.usefixtures("eight_cpus")
+class TestWorkers:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_worker_count_changes_no_bit(self, seed):
+        ds = _random_training_set(seed, n=60, f=8, k=4)
+        params = _params(n_trees=7, n_subfeatures=3, seed=seed)
+        models = [train_forest(ds, replace(params, n_workers=w)) for w in (1, 2, 3)]
+        assert [m.params.n_workers for m in models] == [1, 2, 3]
+        assert len({dump_forest(m) for m in models}) == 1
+        for model in models[1:]:
+            np.testing.assert_array_equal(selection_frequency(model),
+                                          selection_frequency(models[0]))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_trees, n_workers", [(1, 1), (1, 2), (3, 5), (2, 8)])
+    def test_more_workers_than_trees(self, monkeypatch, n_trees, n_workers):
+        ds = _random_training_set(4)
+        alone = train_forest(ds, _params(n_trees=n_trees))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        model = train_forest(ds, _params(n_trees=n_trees, n_workers=n_workers))
+        assert dump_forest(model) == dump_forest(alone)
+        assert len(forks) == min(n_trees, n_workers) - 1  # one worker per tree at most
+        assert_no_child_left()
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        train_forest(_random_training_set(4), _params(n_trees=6, n_workers=5))
+        assert len(forks) == 1
+
+    def test_worker_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_workers must be positive"):
+            train_forest(_random_training_set(0), _params(n_workers=0))
+
+    def test_worker_failure_names_its_tree_range(self, monkeypatch):
+        _failing_scan(monkeypatch, in_child=True)
+        with pytest.raises(RuntimeError, match=r"forest worker for trees 3\.\.5 failed: "
+                           r"ValueError\('scan failed on purpose'\)"):
+            train_forest(_random_training_set(5), _params(n_trees=6, n_workers=2))
+        assert_no_child_left()
+
+    def test_caller_failure_kills_and_reaps_every_worker(self, monkeypatch):
+        _failing_scan(monkeypatch, in_child=False)
+        with pytest.raises(ValueError, match="scan failed on purpose"):
+            train_forest(_random_training_set(6), _params(n_trees=9, n_workers=3))
+        assert_no_child_left()
 
 
 def _tree(feature, threshold, left, right, klass, k=2):

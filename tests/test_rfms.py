@@ -1,4 +1,11 @@
-"""Multiround screening: permutation, partition, rounds, canary audit, memory."""
+"""Multiround screening: permutation, partition, rounds, canary audit, memory, workers."""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,3 +248,49 @@ class TestMemory:
         spec = ScreenerSpec("kbest", {"n_out": 20, "seed": 8})
         peak = traced_peak(lambda: cli._screen_baseline(wide, spec, self.KBEST_CFG))
         assert peak < wide.features.nbytes / 2
+
+
+BLAS_THEN_FORK = """
+import json, os, pickle, sys
+from rfscreen import ClassifierSpec, ScreenerSpec, grid_search, screen
+os.sched_getaffinity = lambda pid: set(range(8))  # fork even on a one-CPU machine
+with open(sys.argv[1], "rb") as fh:
+    ds, config = pickle.load(fh)
+grid_search(ds, [ScreenerSpec("kbest", {"n_out": 30})], [ClassifierSpec("knn", {"k": 3})],
+            folds=3, seed=1)  # the kNN distance matmul wakes the BLAS threads
+print(json.dumps([r.importance for r in screen(ds, config).rounds]))
+"""
+
+
+@pytest.mark.usefixtures("eight_cpus")
+class TestWorkerProcesses:
+    def _configs(self, **forest):
+        config = ScreeningConfig(step_size=60, reduced_size=10, n_canaries=5,
+                                 forest=_forest(n_trees=16, n_subfeatures=8, **forest))
+        return config, replace(config, forest=replace(config.forest, n_workers=2))
+
+    def test_document_is_byte_identical_at_any_worker_count(self):
+        ds = _noisy_label_copy_dataset(n_features=150)
+        docs = [screening_document(screen(ds, config)) for config in self._configs()]
+        assert "n_workers" not in docs[0]["screener"]
+        assert dumps(mask_timing(docs[0])) == dumps(mask_timing(docs[1]))
+
+    def test_cpu_time_counts_the_workers(self):
+        # without the reaped workers' CPU a 2-worker screen would report about half
+        ds = _noisy_label_copy_dataset(n_features=400, n=150)
+        one, two = self._configs()
+        at_two = screen(ds, two)
+        at_one = screen(ds, one)
+        assert at_two.selected == at_one.selected
+        assert at_two.cpu_time_s >= 0.9 * at_one.cpu_time_s
+
+    def test_fork_after_blas_threads_gives_the_one_worker_result(self, tmp_path):
+        # a leak-safe kNN grid starts the BLAS threads, then forest workers fork
+        ds = _noisy_label_copy_dataset(n_features=150)
+        one, two = self._configs()
+        with open(tmp_path / "job.pickle", "wb") as fh:
+            pickle.dump((ds, two), fh)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", BLAS_THEN_FORK, str(tmp_path / "job.pickle")],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(done.stdout) == [list(r.importance) for r in screen(ds, one).rounds]
