@@ -171,6 +171,13 @@ def oracle_f_scores(X, y):
     return np.array(out)
 
 
+def forest_bytes(model) -> bytes:
+    """The raw bytes of all six arrays of every tree, in tree order: equal forests,
+    internal nodes' class counts included, give equal bytes."""
+    return b"".join(getattr(tree, name).tobytes() for tree in model.trees
+                    for name in ("feature", "threshold", "left", "right", "klass", "counts"))
+
+
 def count_internal_nodes(model):
     """Recursive traversal of the child indices from each root, independent
     of selection_frequency's count over the feature array."""

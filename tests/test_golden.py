@@ -6,7 +6,8 @@ The determinism tests elsewhere compare one run with another run, so a
 change in the order in which trees consume their random streams would pass
 them unnoticed.  These tests compare against values recorded once (the
 forest and screens from the object-graph tree implementation, the kNN
-labels from the difference-tensor kNN, the sweep cells from the harness
+labels from the difference-tensor kNN, the forest's array digest from the forest that
+also wrote a JSON-lines dump, the sweep cells from the harness
 that refitted each fold's screener once per cell, the screen-once sweep from the harness
 that screened the whole table once per count, the rf classifier documents from the
 classifier that read its knobs with library defaults, the CLI screen documents from
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_dataset, mask_timing, tied_table
+from helpers import forest_bytes, make_dataset, mask_timing, tied_table
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, baselines, cli, convergence_sweep, dump_forest, evaluate,
                       forest_predict_batch, generate, grid_search, screen,
@@ -113,6 +114,7 @@ def observe_knn(X, y) -> dict:
 
 def observe_forest(model, queries) -> dict:
     return {
+        "arrays_sha256": hashlib.sha256(forest_bytes(model)).hexdigest(),
         "dump_sha256": hashlib.sha256(dump_forest(model).encode()).hexdigest(),
         "selection_frequency": selection_frequency(model).tolist(),
         "predict_batch": forest_predict_batch(model, queries).tolist(),
