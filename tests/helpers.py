@@ -133,6 +133,83 @@ def random_split_instance(rng):
     return X, y, msl, mpi
 
 
+def oracle_bootstrap(seed, t, n_samples, partial_sampling):
+    """Tree ``t``'s stream, keyed ``SeedSequence([seed, t])``, and its first draw: the
+    ``floor(partial_sampling * n_samples)`` in-bag rows, drawn with replacement."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+    return rng, rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
+
+
+def oracle_tree(X, y, seed, t, n_subfeatures, min_samples_leaf=1, min_purity_increase=0.0,
+                partial_sampling=0.7):
+    """Tree ``t`` of a forest keyed by ``seed``, grown by recursion: its ``feature``,
+    ``threshold`` and class ``counts`` per node, in depth-first, left-first preorder.
+
+    After the bootstrap, each splittable node (two classes present and at least
+    ``2 * min_samples_leaf`` rows) draws ``choice(p, n_subfeatures, replace=False)``
+    candidates in that same order, and :func:`oracle_best_split` picks its split."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rng, rows = oracle_bootstrap(seed, t, X.shape[0], partial_sampling)
+    nodes = []
+
+    def grow(idx):
+        counts = np.bincount(y[idx] - 1, minlength=int(y.max()))
+        node = [-1, np.nan, counts]
+        nodes.append(node)
+        if np.count_nonzero(counts) < 2 or idx.shape[0] < 2 * min_samples_leaf:
+            return
+        cand = rng.choice(X.shape[1], size=n_subfeatures, replace=False)
+        split = oracle_best_split(X[idx], y[idx], cand, min_samples_leaf, min_purity_increase)
+        if split is not None:
+            node[:2] = split[:2]
+            grow(idx[X[idx, split[0]] <= split[1]])
+            grow(idx[X[idx, split[0]] > split[1]])
+
+    grow(rows)
+    return (np.array([f for f, _, _ in nodes]), np.array([thr for _, thr, _ in nodes]),
+            np.array([c for _, _, c in nodes]))
+
+
+def oracle_screen(X, y, config):
+    """The rounds of a multiround screen of every row, as ``(round_index, chunk_ids,
+    carried_ids, pool_ids, importance, selected_ids)`` tuples, and its permutation.
+
+    ``config`` is read for its knobs only.  The canaries are
+    ``standard_normal((n, n_canaries))`` from ``SeedSequence([seed, 0xCA])``, appended
+    after the table's columns; the permutation of all of them comes from
+    ``SeedSequence([seed, 0x9E])``; round ``i`` grows its trees with the seed made of
+    the two 32-bit words of ``SeedSequence([seed, 0x12D, i]).generate_state(2)``.
+    Each round ranks its pool (chunk, then carry) by internal-node count, ties to the
+    lower id, and carries the first ``reduced_size``."""
+    X = np.asarray(X, dtype=np.float64)
+    f, seed = config.forest, config.seed
+    noise = np.random.default_rng(np.random.SeedSequence([seed, 0xCA])).standard_normal(
+        (X.shape[0], config.n_canaries))
+    table = np.hstack([X, noise])
+    perm = np.random.default_rng(np.random.SeedSequence([seed, 0x9E])).permutation(
+        table.shape[1])
+    carry, rounds = [], []
+    for i, start in enumerate(range(0, perm.shape[0], config.step_size), start=1):
+        chunk = [int(c) for c in perm[start:start + config.step_size]]
+        pool = chunk + carry
+        words = np.random.SeedSequence([seed, 0x12D, i]).generate_state(2)
+        round_seed = (int(words[0]) << 32) | int(words[1])
+        importance = [0] * len(pool)
+        for t in range(f.n_trees):
+            features, _, _ = oracle_tree(table[:, pool], y, round_seed, t,
+                                         min(f.n_subfeatures, len(pool)), f.min_samples_leaf,
+                                         f.min_purity_increase, f.partial_sampling)
+            for j in features[features >= 0]:
+                importance[j] += 1
+        ranked = sorted(range(len(pool)), key=lambda j: (-importance[j], pool[j]))
+        selected = [pool[j] for j in ranked[:config.reduced_size]]
+        rounds.append((i, tuple(chunk), tuple(carry), tuple(pool), tuple(importance),
+                       tuple(selected)))
+        carry = selected
+    return rounds, [int(p) for p in perm]
+
+
 def oracle_knn(train_X, train_y, query, k):
     """Distance-sort reference: explicit per-row squared distances."""
     d2 = [float(np.sum((query - train_X[i]) ** 2)) for i in range(train_X.shape[0])]

@@ -6,13 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (count_internal_nodes, make_dataset, oracle_best_split,
-                     oracle_forest_predict, oracle_gini, random_split_instance)
+from helpers import (count_internal_nodes, make_dataset, oracle_best_split, oracle_bootstrap,
+                     oracle_forest_predict, oracle_gini, oracle_tree, random_split_instance)
 from rfscreen import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
                       selection_frequency, train_forest)
 import rfscreen.forest as forest
-from rfscreen.forest import _dense_ranks, _draw_bootstrap, _scan, _scan_pass
-from rfscreen.rng import stream
+from rfscreen.forest import _dense_ranks, _scan, _scan_pass
 
 
 def best_split(ds, rows, candidates, min_samples_leaf=1, min_purity_increase=0.0):
@@ -32,7 +31,7 @@ def best_split(ds, rows, candidates, min_samples_leaf=1, min_purity_increase=0.0
 
 def _bootstrap(params: ForestParams, n_samples: int, t: int) -> np.ndarray:
     """Tree ``t``'s in-bag rows: the first draw of its stream."""
-    return _draw_bootstrap(stream(params.seed, t), n_samples, params.partial_sampling)
+    return oracle_bootstrap(params.seed, t, n_samples, params.partial_sampling)[1]
 
 
 class TestGiniImpurity:
@@ -256,6 +255,36 @@ class TestTrainForest:
                 mask = ds.features[members, feature] <= tree.threshold[node]
                 stack.append((tree.left[node], members[mask]))
                 stack.append((tree.right[node], members[~mask]))
+
+
+class TestWholeTreeOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forest_matches_recursive_oracle(self, seed):
+        # random tables with ties; every tree's preorder nodes and the importances
+        rng = np.random.default_rng(5000 + seed)
+        checked = 0
+        while checked < 30:
+            X, y, msl, mpi = random_split_instance(rng)
+            ps = float(rng.choice([0.5, 0.7, 1.0]))
+            if int(ps * X.shape[0]) < msl:
+                continue  # a bootstrap below min_samples_leaf is rejected
+            params = ForestParams(n_trees=int(rng.integers(1, 5)),
+                                  n_subfeatures=int(rng.integers(1, X.shape[1] + 1)),
+                                  min_samples_leaf=msl, min_purity_increase=mpi,
+                                  partial_sampling=ps, seed=int(rng.integers(1 << 63)))
+            model = train_forest(make_dataset(X, y), params)
+            used = []
+            for t, tree in enumerate(model.trees):
+                feature, threshold, counts = oracle_tree(X, y, params.seed, t,
+                                                         params.n_subfeatures, msl, mpi, ps)
+                np.testing.assert_array_equal(tree.feature, feature)
+                np.testing.assert_array_equal(tree.threshold, threshold)
+                np.testing.assert_array_equal(tree.counts, counts)
+                used.append(feature[feature >= 0])
+            assert len(model.trees) == params.n_trees
+            np.testing.assert_array_equal(selection_frequency(model),
+                                          np.bincount(np.concatenate(used), minlength=X.shape[1]))
+            checked += 1
 
 
 def assert_no_child_left():

@@ -5,12 +5,12 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from helpers import make_dataset, mask_timing, traced_peak
+from helpers import make_dataset, mask_timing, oracle_screen, traced_peak
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
                       cli,
                       partition_features, permute_features, screen,
@@ -51,6 +51,36 @@ class TestPartition:
         chunks = partition_features(perm, 25)
         joined = np.concatenate(chunks)
         assert sorted(joined.tolist()) == list(range(103))
+
+
+class TestScreenOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_screen_matches_recursive_oracle(self, seed):
+        # small random tables, canaries included: every round record and the permutation
+        rng = np.random.default_rng(7000 + seed)
+        for _ in range(3):
+            n, p, k = int(rng.integers(12, 31)), int(rng.integers(4, 21)), int(rng.integers(2, 5))
+            y = rng.integers(1, k + 1, size=n)
+            y[:k] = np.arange(1, k + 1)
+            X = (rng.normal(size=(n, p)) if rng.random() < 0.5
+                 else rng.integers(0, 4, size=(n, p)).astype(float))
+            X[:, :2] += 0.5 * y[:, None]
+            n_canaries = int(rng.integers(0, 6))
+            step = int(rng.integers(2, p + n_canaries + 1))
+            config = ScreeningConfig(
+                step_size=step, reduced_size=int(rng.integers(1, step + 1)),
+                n_canaries=n_canaries, seed=int(rng.integers(1 << 63)),
+                forest=ForestParams(n_trees=int(rng.integers(1, 4)),
+                                    n_subfeatures=int(rng.integers(1, 6)),
+                                    min_samples_leaf=int(rng.integers(1, 4)),
+                                    min_purity_increase=float(rng.choice([0.0, 0.0, 0.01])),
+                                    partial_sampling=float(rng.choice([0.5, 0.7, 1.0]))))
+            result = screen(make_dataset(X, y), config)
+            rounds, permutation = oracle_screen(X, y, config)
+            assert [astuple(r) for r in result.rounds] == rounds
+            assert list(result.permutation) == permutation
+            assert list(result.selected.indices) == list(rounds[-1][-1])
+            assert result.canary_ids == tuple(range(p, p + n_canaries))
 
 
 def _forest(**overrides):
