@@ -13,7 +13,7 @@ from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_k
 from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSpec,
                        SweepRow, convergence_sweep, cross_validate, fit_screener,
                        grid_search, screen_once_report)
-from .forest import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
+from .forest import (ForestModel, ForestParams, Tree, forest_predict_batch,
                      selection_frequency, train_forest)
 from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, canary_block,
                    partition_features, permute_features, screen)
@@ -26,7 +26,7 @@ __all__ = [
     "ForestModel", "ForestParams", "GeneratorConfig", "PcaModel", "Provenance",
     "ReportEntry", "RoundRecord", "ScreenerSpec", "ScreeningConfig", "ScreeningResult",
     "SweepRow", "Tree", "canary_block",
-    "convergence_sweep", "cross_validate", "dump_forest", "f_scores", "fit_screener",
+    "convergence_sweep", "cross_validate", "f_scores", "fit_screener",
     "forest_predict_batch", "generate",
     "grid_search", "kbest_fscore", "load_csv", "partition_features",
     "pca_fit", "pca_transform", "permute_features", "random_subset",

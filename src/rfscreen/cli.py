@@ -27,6 +27,7 @@ from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence
                        grid_search, screen_once_report)
 from .forest import ForestParams
 from .rfms import ScreeningConfig, canary_block, screen
+from .rng import DEFAULT_SEED
 from .serialize import (SCHEMA_VERSION, envelope, pca_document, pca_model_from_document,
                         read_json, records_csv, report_document, screening_document,
                         sweep_document, write_json)
@@ -79,13 +80,13 @@ _SCREEN_KEYS = {
     "min-samples-leaf": (int, _positive, 1),
     "min-purity-increase": (float, lambda v: v >= 0.0, 0.0),
     "partial-sampling": (float, _fraction, 0.7),
-    "random-state": (int, None, 20230125),
+    "random-state": (int, None, DEFAULT_SEED),
     "n-canaries": (int, _nonnegative, 0),
 }
 
 _EVAL_KEYS = {
     "folds": (int, lambda v: v >= 2, 5),
-    "random-state": (int, None, 20230125),
+    "random-state": (int, None, DEFAULT_SEED),
     "knn-k": (_int_list, lambda vs: vs and all(v >= 1 for v in vs), [1, 3, 5]),
     "rf-n-trees": (int, _positive, 50),
     "rf-n-subfeatures": (int, _nonnegative, 0),

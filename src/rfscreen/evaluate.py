@@ -3,15 +3,14 @@
 A fold is a pair of row-index arrays over the one table, from which it gathers
 its screened columns once.  ``cross_validate`` is leak-safe: the screener is
 fitted on a fold's training rows only.  :func:`grid_search` fits each screener
-once per fold and shares the fits across its classifier cells; its kNN and
-majority cells share each fold's gather, and all its kNN cells one neighbour
-search per fold.  The screen-once protocol, the command-line ``evaluate``
-default, is :func:`fit_screener` on the whole table and
-:func:`screen_once_report`, where that one fit serves every fold.  kNN screens
-neighbours with one matmul and re-scores the rows near its cut exactly.  CPU
-cost is split into screening seconds (the reduction fits a cell uses, shared
-or not) and fitting seconds (classifier training), both measured as the CPU
-time of the process and of its forest workers.
+once per fold and shares the fits across its classifier cells; all of them share
+each fold's gather, and its kNN cells one neighbour search per fold.  The
+screen-once protocol, the command-line ``evaluate`` default, is :func:`fit_screener`
+on the whole table and :func:`screen_once_report`, where that one fit serves
+every fold.  kNN screens neighbours with one matmul and re-scores the rows near
+its cut exactly.  CPU cost is split into screening seconds (the reduction fits a
+cell uses, shared or not) and fitting seconds (classifier training), both
+measured as the CPU time of the process and of its forest workers.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .baselines import PcaModel, kbest_fscore, pca_fit, pca_transform, random_su
 from .data import Dataset, FeatureSubset, stratified_kfold
 from .forest import ForestParams, _cpu_seconds, forest_predict_batch, train_forest
 from .rfms import ScreeningConfig, screen
+from .rng import DEFAULT_SEED
 
 SCREENER_NAMES = ("identity", "rfms", "kbest", "pca", "random")
 CLASSIFIER_NAMES = ("knn", "rf", "majority")
@@ -60,7 +60,7 @@ class ScreenerSpec:
     def label(self) -> str:
         if self.name == "identity":
             return "identity"
-        width = self.config.reduced_size if self.config else self.params.get("n_out", "?")
+        width = self.config.reduced_size if self.config else self.params["n_out"]
         return f"{self.name}({width})"
 
 
@@ -129,7 +129,7 @@ def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScree
         return FittedScreener(selected=kbest_fscore(dataset, n_out, rows))
     if spec.name == "random":
         return FittedScreener(selected=random_subset(dataset.n_features, n_out,
-                                                     int(p.get("seed", 20230125))))
+                                                     int(p.get("seed", DEFAULT_SEED))))
     return FittedScreener(pca=pca_fit(dataset, n_out, rows))
 
 
@@ -283,7 +283,7 @@ def _fold_pass(dataset: Dataset, classifiers, folds_idx, fits) -> list:
 
 
 def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: ClassifierSpec,
-                   folds: int = 5, seed: int = 20230125, folds_idx=None, *,
+                   folds: int = 5, seed: int = DEFAULT_SEED, folds_idx=None, *,
                    fits=None, predictions=None) -> ReportEntry:
     """Fold-internal screening and classification; returns the cell entry.
 
@@ -316,18 +316,18 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
 
 
 def grid_search(dataset: Dataset, screener_grid, classifier_grid,
-                folds: int = 5, seed: int = 20230125) -> EvaluationReport:
+                folds: int = 5, seed: int = DEFAULT_SEED) -> EvaluationReport:
     """Exhaustive Cartesian sweep; best cell = highest mean accuracy.
 
     Ties keep the earliest cell in grid order (screeners outer, classifiers
     inner), so the result is deterministic.  One fold split of row sets serves
     every cell.  Each screener is fitted once per fold and the fits are shared
     by its classifier cells, so a PCA screener holds one ``PcaModel`` per fold
-    (p x n_out floats each) while they run.  Its kNN and majority cells then
-    share one fold pass, with one neighbour search per fold at the largest
-    ``k``, before any cell is measured; rf cells run their own pass after it.
-    Every cell is measured by :func:`cross_validate`, in grid order, as are
-    those of :func:`screen_once_report` and :func:`convergence_sweep`.
+    (p x n_out floats each) while they run.  All its cells then share one fold
+    pass, with one gather and one neighbour search at the largest ``k`` per
+    fold, before any cell is measured.  Every cell is measured by
+    :func:`cross_validate`, in grid order, as are those of
+    :func:`screen_once_report` and :func:`convergence_sweep`.
     """
     screener_grid = list(screener_grid)
     classifier_grid = list(classifier_grid)
@@ -350,17 +350,15 @@ def _report(entries) -> EvaluationReport:
 
 def _screener_cells(dataset: Dataset, s_spec: ScreenerSpec, classifiers, folds_idx, fits) -> list:
     """One screener's cells over its fold ``fits``, measured by :func:`cross_validate`
-    in grid order after the kNN and majority cells' shared fold pass."""
-    shared = [c for c in classifiers if c.name != "rf"]
-    passes = iter(_fold_pass(dataset, shared, folds_idx, fits) if shared else ())
-    return [cross_validate(dataset, s_spec, c_spec, folds_idx=folds_idx, fits=fits,
-                           predictions=None if c_spec.name == "rf" else next(passes))
-            for c_spec in classifiers]
+    in grid order after one fold pass shared by all of them."""
+    passes = _fold_pass(dataset, classifiers, folds_idx, fits)
+    return [cross_validate(dataset, s_spec, c, folds_idx=folds_idx, fits=fits, predictions=p)
+            for c, p in zip(classifiers, passes, strict=True)]
 
 
 def screen_once_report(dataset: Dataset, fitted: FittedScreener, screener_id: str,
                        screening_cpu_s: float, classifier_grid, folds: int = 5,
-                       seed: int = 20230125) -> EvaluationReport:
+                       seed: int = DEFAULT_SEED) -> EvaluationReport:
     """Screen-once protocol: cross-validate classifiers over ``fitted``, fitted on every
     row of ``dataset`` in ``screening_cpu_s``, its cells reported under ``screener_id``.
 
@@ -391,7 +389,7 @@ class SweepRow:
 
 
 def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
-                      counts, folds: int = 5, seed: int = 20230125,
+                      counts, folds: int = 5, seed: int = DEFAULT_SEED,
                       leak_safe: bool = False) -> list[SweepRow]:
     """Best accuracy as a function of the number of screened features.
 

@@ -6,7 +6,7 @@ mean-decrease-impurity score.  Everything here is deterministic: tree ``t``
 of a forest draws all of its randomness from an independent stream keyed by
 ``(seed, t)``, so training is bit-reproducible however trees are batched.
 A trained tree is a :class:`Tree` of flat per-node arrays; growth,
-prediction, importance and the text dump all work on that one form.
+prediction and importance all work on that one form.
 
 Tie-breaking is total everywhere so results are exactly assertable:
 split ties prefer the lower feature index, then the lower threshold; vote
@@ -15,7 +15,6 @@ and leaf-label ties prefer the smallest class id.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import time
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .rng import stream
+from .rng import DEFAULT_SEED, stream
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,7 @@ class ForestParams:
     ``min_samples_leaf``, or when no split gains at least
     ``min_purity_increase`` weighted Gini decrease.  ``n_workers`` processes
     grow the trees, at most one per tree and per usable CPU, for the same bits.
+    :func:`train_forest` checks the knobs that depend on the table.
     """
 
     n_trees: int
@@ -44,10 +44,10 @@ class ForestParams:
     min_samples_leaf: int = 1
     min_purity_increase: float = 0.0
     partial_sampling: float = 0.7
-    seed: int = 20230125
+    seed: int = DEFAULT_SEED
     n_workers: int = 1
 
-    def validate(self, n_features: int | None = None, n_samples: int | None = None) -> None:
+    def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be positive")
         if self.n_subfeatures < 1:
@@ -60,16 +60,6 @@ class ForestParams:
             raise ValueError("partial_sampling must be in (0, 1]")
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if n_features is not None and self.n_subfeatures > n_features:
-            raise ValueError(
-                f"n_subfeatures={self.n_subfeatures} exceeds n_features={n_features}"
-            )
-        if n_samples is not None:
-            n_boot = int(self.partial_sampling * n_samples)
-            if n_boot < 1:
-                raise ValueError("partial_sampling yields an empty bootstrap")
-            if n_boot < self.min_samples_leaf:
-                raise ValueError("bootstrap smaller than min_samples_leaf")
 
 
 @dataclass(frozen=True)
@@ -218,11 +208,6 @@ def _scan_pass(X, ranks, y0, jobs, k, msl, mpi) -> list:
     return out
 
 
-def _draw_bootstrap(rng, n_samples: int, partial_sampling: float) -> np.ndarray:
-    """In-bag sample indices: the first draw of a tree's stream ``rng``."""
-    return rng.integers(0, n_samples, size=int(partial_sampling * n_samples))
-
-
 def _grow_tree(X, y0, k, params: ForestParams, rng):
     """Grow one tree as a generator: it yields ``(rows, candidates, class
     counts)`` for each splittable node, takes that node's best split (or
@@ -231,9 +216,9 @@ def _grow_tree(X, y0, k, params: ForestParams, rng):
     # draws consume the stream in a schedule-independent order.  Popping in
     # that order is also preorder, so a node's id is the count popped before
     # it; only a right child's id is unknown until it is popped.  The stack
-    # holds (rows, parent if a right child else -1).
+    # holds (rows, parent if a right child else -1); the first draw is the bootstrap.
     feature, threshold, right, counts = [], [], [], []
-    stack = [(_draw_bootstrap(rng, len(X), params.partial_sampling), -1)]
+    stack = [(rng.integers(0, len(X), size=int(params.partial_sampling * len(X))), -1)]
     n_features = X.shape[1]
     while stack:
         idx, parent = stack.pop()
@@ -308,7 +293,14 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
-    params.validate(n_features=dataset.n_features, n_samples=dataset.n_samples)
+    if params.n_subfeatures > dataset.n_features:
+        raise ValueError(
+            f"n_subfeatures={params.n_subfeatures} exceeds n_features={dataset.n_features}")
+    n_boot = int(params.partial_sampling * dataset.n_samples)
+    if n_boot < 1:
+        raise ValueError("partial_sampling yields an empty bootstrap")
+    if n_boot < params.min_samples_leaf:
+        raise ValueError("bootstrap smaller than min_samples_leaf")
     X = dataset.features
     y0 = dataset.labels - 1
     k = dataset.n_classes
@@ -376,28 +368,3 @@ def selection_frequency(model: ForestModel) -> np.ndarray:
     """Per-feature count of internal nodes using that feature, whole forest."""
     used = np.concatenate([tree.feature[tree.feature >= 0] for tree in model.trees])
     return np.bincount(used, minlength=model.n_features)
-
-
-def dump_forest(model: ForestModel) -> str:
-    """Self-describing text dump, one tree per line (debugging aid).
-
-    Each line is a JSON record with the tree's nodes in array (preorder)
-    order; an internal node is ``[feature, threshold, left_id, right_id]``
-    and a leaf is ``["leaf", class_id, counts]``.  The format is stable for
-    a given model but is not a versioned interchange contract.
-    """
-    lines = [json.dumps({
-        "kind": "forest",
-        "n_trees": model.params.n_trees,
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-    }, sort_keys=True)]
-    for t, tree in enumerate(model.trees):
-        nodes = [
-            [f, thr, lo, hi] if f >= 0 else ["leaf", c, row]
-            for f, thr, lo, hi, c, row in zip(
-                tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
-                tree.right.tolist(), tree.klass.tolist(), tree.counts.tolist())
-        ]
-        lines.append(json.dumps({"tree": t, "nodes": nodes}))
-    return "\n".join(lines) + "\n"

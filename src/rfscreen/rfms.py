@@ -13,7 +13,6 @@ is a red flag that the screen is promoting noise.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset
 from .forest import ForestParams, _cpu_seconds, selection_frequency, train_forest
-from .rng import derive_seed, stream
+from .rng import DEFAULT_SEED, derive_seed, stream
 
 _CANARY_STREAM = 0xCA
 _PERMUTATION_STREAM = 0x9E
@@ -44,7 +43,7 @@ class ScreeningConfig:
     reduced_size: int
     forest: ForestParams
     n_canaries: int = 0
-    seed: int = 20230125
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.reduced_size < 1:
@@ -120,8 +119,7 @@ def partition_features(permutation, step_size: int) -> list[np.ndarray]:
     n = perm.shape[0]
     if not 1 <= step_size <= n:
         raise ValueError(f"step_size must be in 1..{n}")
-    m = math.ceil(n / step_size)
-    return [perm[i * step_size:min((i + 1) * step_size, n)] for i in range(m)]
+    return [perm[i:i + step_size] for i in range(0, n, step_size)]
 
 
 def canary_block(dataset: Dataset, n_canaries: int, seed: int, rows=slice(None)) -> Dataset:
@@ -160,7 +158,6 @@ def screen(dataset: Dataset, config: ScreeningConfig, rows=None, n_threads=1) ->
     canaries = canary_block(dataset, config.n_canaries, config.seed, rows)
     if np.unique(canaries.labels).size < 2:
         raise ValueError("screening needs at least 2 classes; got a single-class dataset")
-    config.forest.validate()
     names = dataset.feature_names + canaries.feature_names
     n = len(names)
     if config.step_size > n:

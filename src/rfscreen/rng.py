@@ -11,6 +11,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+DEFAULT_SEED = 20230125  # the seed of every screen, forest, fold split and draw not given one
+
 
 def _as_entropy(parts: tuple[int, ...]) -> list[int]:
     # SeedSequence rejects negative entropy words.

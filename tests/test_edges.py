@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_dataset, oracle_f_scores
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
-                      canary_block, dump_forest, f_scores,
+                      canary_block, f_scores,
                       forest_predict_batch, kbest_fscore, load_csv, partition_features,
                       pca_transform, permute_features, pca_fit, screen,
                       selection_frequency, train_forest)
@@ -50,30 +50,24 @@ class TestForestEdges:
             train_forest(ds, ForestParams(n_trees=1, n_subfeatures=1,
                                           min_samples_leaf=9))
 
+    def test_invalid_params_fail_at_construction(self):
+        for knob, value, message in [
+                ("n_trees", 0, "n_trees must be positive"),
+                ("n_subfeatures", 0, "n_subfeatures must be positive"),
+                ("min_samples_leaf", 0, "min_samples_leaf must be positive"),
+                ("min_purity_increase", -0.1, "min_purity_increase must be nonnegative"),
+                ("partial_sampling", 0.0, r"partial_sampling must be in \(0, 1\]"),
+                ("partial_sampling", 1.5, r"partial_sampling must be in \(0, 1\]"),
+                ("n_workers", 0, "n_workers must be positive")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ForestParams(**{"n_trees": 1, "n_subfeatures": 1, knob: value})
+
     def test_predict_batch_shape_validation(self):
         ds = make_dataset(np.random.default_rng(0).normal(size=(12, 3)),
                           [1, 2] * 6)
         model = train_forest(ds, ForestParams(n_trees=2, n_subfeatures=2, seed=1))
         with pytest.raises(ValueError):
             forest_predict_batch(model, np.zeros((4, 5)))
-
-    def test_dump_forest_is_parseable_and_consistent(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(30, 4))
-        y = rng.integers(1, 3, size=30)
-        y[:2] = [1, 2]
-        X[:, 1] += y
-        ds = make_dataset(X, y)
-        model = train_forest(ds, ForestParams(n_trees=3, n_subfeatures=2, seed=5))
-        lines = dump_forest(model).strip().splitlines()
-        header = json.loads(lines[0])
-        assert header["n_trees"] == 3
-        assert len(lines) == 4
-        internal = 0
-        for line in lines[1:]:
-            record = json.loads(line)
-            internal += sum(1 for node in record["nodes"] if node[0] != "leaf")
-        assert internal == int(selection_frequency(model).sum())
 
 
 class TestPipelineEdges:

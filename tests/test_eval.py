@@ -516,7 +516,7 @@ class TestGridSearch:
             assert len({e.screening_cpu_s for e in cells}) == 1
 
     @pytest.mark.parametrize("rf_first", [False, True])
-    def test_shared_cells_gather_each_fold_once_before_rf(self, rf_first, monkeypatch):
+    def test_every_cell_shares_each_fold_gather(self, rf_first, monkeypatch):
         ds = _blobs(seed=24, n=45, f=6)
         rf = ClassifierSpec("rf", forest=ForestParams(n_trees=3, n_subfeatures=2, seed=1))
         grid = [ClassifierSpec("knn", {"k": k}) for k in (1, 3, 5)] + [ClassifierSpec("majority")]
@@ -528,12 +528,12 @@ class TestGridSearch:
 
         def fitting(spec, train_X, *args):
             events.append(("fit", spec.label()))
-            gathers.append((events[-1], train_X))
+            gathers.append(train_X)
             return fit_fn(spec, train_X, *args)
 
         def searching(train_X, train_y, queries, k):
             events.append(("search", k))
-            gathers.append((events[-1], train_X))
+            gathers.append(train_X)
             return neighbours_fn(train_X, train_y, queries, k)
 
         def cell(dataset, s_spec, c_spec, *args, **kwargs):
@@ -544,15 +544,14 @@ class TestGridSearch:
         monkeypatch.setattr(evaluate, "_neighbours", searching)
         monkeypatch.setattr(evaluate, "cross_validate", cell)
         report = grid_search(ds, screeners, grid, folds=3, seed=6)
-        shared_pass = [("fit", "knn(k=5)"), ("search", 5), ("fit", "majority")] * 3
-        cells = [e for c in grid for e in [("cell", c.label())]
-                 + [("fit", "rf(n_trees=3)")] * (3 if c is rf else 0)]
-        assert events == (shared_pass + cells) * 2
-        # the shared pass's three calls per fold all see that fold's one gather
-        shared = [x for event, x in gathers if event != ("fit", "rf(n_trees=3)")]
-        for fold in range(6):
-            assert all(x is shared[3 * fold] for x in shared[3 * fold:3 * fold + 3])
-        assert len({id(x) for x in shared}) == 6
+        # per fold: the widest kNN fit and its search, then the other fits in grid order
+        fold = [("fit", "knn(k=5)"), ("search", 5)] + [("fit", c.label()) for c in grid
+                                                     if c.name != "knn"]
+        assert events == (fold * 3 + [("cell", c.label()) for c in grid]) * 2
+        # every fit and search of a fold sees that fold's one gather
+        for f in range(6):
+            assert all(x is gathers[len(fold) * f] for x in gathers[len(fold) * f:][:len(fold)])
+        assert len({id(x) for x in gathers}) == 6
         assert [(e.screener_id, e.classifier_id) for e in report.entries] == [
             (s.label(), c.label()) for s in screeners for c in grid]
 

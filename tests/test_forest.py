@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (count_internal_nodes, make_dataset, oracle_best_split, oracle_bootstrap,
+from helpers import (count_internal_nodes, forest_bytes, make_dataset, oracle_best_split,
+                     oracle_bootstrap,
                      oracle_forest_predict, oracle_gini, oracle_tree, random_split_instance)
-from rfscreen import (ForestModel, ForestParams, Tree, dump_forest, forest_predict_batch,
+from rfscreen import (ForestModel, ForestParams, Tree, forest_predict_batch,
                       selection_frequency, train_forest)
 import rfscreen.forest as forest
 from rfscreen.forest import _dense_ranks, _scan, _scan_pass
@@ -159,10 +160,10 @@ class TestBatchedScan:
     def test_pass_budget_changes_no_result(self, monkeypatch):
         ds = _random_training_set(21, n=60, f=8)
         params = _params(n_trees=6, n_subfeatures=8)
-        want = dump_forest(train_forest(ds, params))
+        want = forest_bytes(train_forest(ds, params))
         # a tiny budget cuts every job into candidate pieces over many passes
         monkeypatch.setattr("rfscreen.forest._PASS_ELEMENTS", 8)
-        assert dump_forest(train_forest(ds, params)) == want
+        assert forest_bytes(train_forest(ds, params)) == want
         rng = np.random.default_rng(77)
         for _ in range(60):
             X, y, msl, mpi = random_split_instance(rng)
@@ -212,8 +213,8 @@ class TestTrainForest:
 
     def test_deterministic_across_calls(self):
         ds = _random_training_set(10)
-        assert dump_forest(train_forest(ds, _params())) == \
-            dump_forest(train_forest(ds, _params()))
+        assert forest_bytes(train_forest(ds, _params())) == \
+            forest_bytes(train_forest(ds, _params()))
 
     def test_beats_majority_on_covered_samples(self):
         ds = _random_training_set(11, n=60)
@@ -230,7 +231,7 @@ class TestTrainForest:
 
     def test_too_many_subfeatures_rejected(self):
         ds = _random_training_set(12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_subfeatures=7 exceeds n_features=6$"):
             train_forest(ds, _params(n_subfeatures=ds.n_features + 1))
 
     def test_leaf_sizes_and_purity_gains_respected(self):
@@ -311,7 +312,7 @@ class TestWorkers:
         params = _params(n_trees=7, n_subfeatures=3, seed=seed)
         models = [train_forest(ds, replace(params, n_workers=w)) for w in (1, 2, 3)]
         assert [m.params.n_workers for m in models] == [1, 2, 3]
-        assert len({dump_forest(m) for m in models}) == 1
+        assert len({forest_bytes(m) for m in models}) == 1
         for model in models[1:]:
             np.testing.assert_array_equal(selection_frequency(model),
                                           selection_frequency(models[0]))
@@ -324,7 +325,7 @@ class TestWorkers:
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         model = train_forest(ds, _params(n_trees=n_trees, n_workers=n_workers))
-        assert dump_forest(model) == dump_forest(alone)
+        assert forest_bytes(model) == forest_bytes(alone)
         assert len(forks) == min(n_trees, n_workers) - 1  # one worker per tree at most
         assert_no_child_left()
 

@@ -28,7 +28,7 @@ import pytest
 
 from helpers import forest_bytes, make_dataset, mask_timing, tied_table
 from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
-                      ScreeningConfig, baselines, cli, convergence_sweep, dump_forest, evaluate,
+                      ScreeningConfig, baselines, cli, convergence_sweep, evaluate,
                       forest_predict_batch, generate, grid_search, screen,
                       selection_frequency, train_forest)
 from rfscreen.evaluate import fit_classifier
@@ -115,7 +115,6 @@ def observe_knn(X, y) -> dict:
 def observe_forest(model, queries) -> dict:
     return {
         "arrays_sha256": hashlib.sha256(forest_bytes(model)).hexdigest(),
-        "dump_sha256": hashlib.sha256(dump_forest(model).encode()).hexdigest(),
         "selection_frequency": selection_frequency(model).tolist(),
         "predict_batch": forest_predict_batch(model, queries).tolist(),
     }
