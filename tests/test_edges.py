@@ -9,8 +9,7 @@ from helpers import make_dataset, oracle_f_scores
 from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
                       canary_block, f_scores,
                       forest_predict_batch, kbest_fscore, load_csv, partition_features,
-                      pca_transform, permute_features, pca_fit, screen,
-                      selection_frequency, train_forest)
+                      pca_transform, permute_features, pca_fit, screen, train_forest)
 from rfscreen.cli import main
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (count_internal_nodes, forest_bytes, make_dataset, oracle_best_split,
-                     oracle_bootstrap,
-                     oracle_forest_predict, oracle_gini, oracle_tree, random_split_instance)
+                     oracle_bootstrap, oracle_forest_predict, oracle_gini, oracle_tree,
+                     random_split_instance)
 from rfscreen import (ForestModel, ForestParams, Tree, forest_predict_batch,
                       selection_frequency, train_forest)
 import rfscreen.forest as forest
