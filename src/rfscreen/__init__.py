@@ -15,8 +15,7 @@ from .evaluate import (ClassifierSpec, EvaluationReport, ReportEntry, ScreenerSp
                        grid_search, screen_once_report)
 from .forest import (ForestModel, ForestParams, Tree, forest_predict_batch,
                      selection_frequency, train_forest)
-from .rfms import (RoundRecord, ScreeningConfig, ScreeningResult, canary_block,
-                   partition_features, permute_features, screen)
+from .rfms import RoundRecord, ScreeningConfig, ScreeningResult, canary_block, screen
 from .synth import GeneratorConfig, Provenance, generate, truth_overlap
 
 __version__ = "0.1.0"
@@ -28,8 +27,8 @@ __all__ = [
     "SweepRow", "Tree", "canary_block",
     "convergence_sweep", "cross_validate", "f_scores", "fit_screener",
     "forest_predict_batch", "generate",
-    "grid_search", "kbest_fscore", "load_csv", "partition_features",
-    "pca_fit", "pca_transform", "permute_features", "random_subset",
+    "grid_search", "kbest_fscore", "load_csv",
+    "pca_fit", "pca_transform", "random_subset",
     "screen", "screen_once_report", "selection_frequency",
     "stratified_kfold", "train_forest", "truth_overlap", "write_csv",
 ]

@@ -17,12 +17,11 @@ import argparse
 import math
 import sys
 import time
-from collections import Counter
 from itertools import groupby
 from pathlib import Path
 
 from .baselines import f_scores, pca_fit, random_subset, top_k
-from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, write_csv
+from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_kfold, write_csv
 from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
                        grid_search, screen_once_report)
 from .forest import ForestParams
@@ -182,13 +181,11 @@ def _read_result(path) -> dict:
     return doc
 
 
-def _write_pair(doc: dict, csv: str, out: str) -> Path:
-    """Write ``<out>.json`` and ``<out>.csv``; returns the shared base path."""
-    base = Path(out)
-    if base.suffix == ".json":
-        base = base.with_suffix("")
-    write_json(doc, base.with_suffix(".json"))
-    base.with_suffix(".csv").write_text(csv, encoding="utf-8")
+def _write_pair(doc: dict, csv: str, out: str) -> str:
+    """Write ``<base>.json`` and ``<base>.csv``; ``base`` is ``out`` less one ``.json``."""
+    base = out.removesuffix(".json")
+    write_json(doc, f"{base}.json")
+    Path(f"{base}.csv").write_text(csv, encoding="utf-8")
     return base
 
 
@@ -229,11 +226,15 @@ def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> Screene
 def _classifier_grid(cfg: dict, which: str, dataset: Dataset, width: int) -> list[ClassifierSpec]:
     """The ``which`` classifiers of a config for ``width`` screened features, checked before work.
 
-    ``knn-k`` may not exceed fold 0's training rows, the fewest: ``stratified_kfold``
-    gives fold 0 the ceiling of every class and rejects a class under ``folds`` rows."""
-    folds, sizes = cfg["folds"], Counter(dataset.labels.tolist()).values()
-    smallest = dataset.n_samples - sum(-(-size // folds) for size in sizes)
-    if which in ("knn", "all") and min(sizes) >= folds and max(cfg["knn-k"]) > smallest:
+    A class with fewer rows than ``folds`` fails here, with ``stratified_kfold``'s message,
+    and ``knn-k`` may not exceed the smallest training fold of that split."""
+    folds = cfg["folds"]
+    try:
+        split = stratified_kfold(dataset, folds, cfg["random-state"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    smallest = min(train.size for train, _ in split)
+    if which in ("knn", "all") and max(cfg["knn-k"]) > smallest:
         raise ValidationError(
             f"knn-k must be at most {smallest}, the smallest training fold at folds={folds}")
     knn = [ClassifierSpec("knn", {"k": k}) for k in cfg["knn-k"]]
@@ -351,14 +352,15 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
     dataset = _load_dataset(args)
     doc = _read_result(args.result)
-    grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
         spec = _screener_spec_from_document(doc, dataset.n_features, cfg["threads"])
+        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
         report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         fitted = _selection_from_document(doc, dataset)
+        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
         report = screen_once_report(
             dataset, fitted, f"{doc['screener']['name']}({fitted.n_out})",
             float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
@@ -369,7 +371,7 @@ def cmd_evaluate(args) -> int:
               f"accuracy={entry.mean_accuracy:.4f}")
     best = report.best
     print(f"best: {best.screener_id} + {best.classifier_id} "
-          f"accuracy={best.mean_accuracy:.4f} -> {base.with_suffix('.json')}")
+          f"accuracy={best.mean_accuracy:.4f} -> {base}.json")
     return 0
 
 
@@ -398,7 +400,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         print(f"n_features_out={row.n_features_out} best_accuracy={row.best_accuracy:.4f} "
               f"({row.best_classifier_id})")
-    print(f"wrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
+    print(f"wrote {base}.json and {base}.csv")
     return 0
 
 

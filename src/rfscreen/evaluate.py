@@ -128,8 +128,9 @@ def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScree
     if spec.name == "kbest":
         return FittedScreener(selected=kbest_fscore(dataset, n_out, rows))
     if spec.name == "random":
-        return FittedScreener(selected=random_subset(dataset.n_features, n_out,
-                                                     int(p.get("seed", DEFAULT_SEED))))
+        if "seed" not in p:
+            raise ValueError("a random spec needs params['seed'] to be fitted")
+        return FittedScreener(selected=random_subset(dataset.n_features, n_out, int(p["seed"])))
     return FittedScreener(pca=pca_fit(dataset, n_out, rows))
 
 

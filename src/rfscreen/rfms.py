@@ -102,26 +102,6 @@ class ScreeningResult:
         return tuple(self.feature_names[i] for i in self.selected.indices)
 
 
-def permute_features(n: int, seed: int) -> np.ndarray:
-    """Deterministic random permutation of the 0-based feature positions."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return stream(seed, _PERMUTATION_STREAM).permutation(n)
-
-
-def partition_features(permutation, step_size: int) -> list[np.ndarray]:
-    """Consecutive slices of the permutation, ceil(n / step_size) of them.
-
-    All chunks have ``step_size`` entries except the last, which takes the
-    remainder.
-    """
-    perm = np.asarray(permutation, dtype=np.int64)
-    n = perm.shape[0]
-    if not 1 <= step_size <= n:
-        raise ValueError(f"step_size must be in 1..{n}")
-    return [perm[i:i + step_size] for i in range(0, n, step_size)]
-
-
 def canary_block(dataset: Dataset, n_canaries: int, seed: int, rows=slice(None)) -> Dataset:
     """Seeded standard-normal noise columns over ``rows`` (all by default), named apart."""
     names = tuple(f"canary_{i + 1:04d}" for i in range(n_canaries))
@@ -165,12 +145,11 @@ def screen(dataset: Dataset, config: ScreeningConfig, rows=None, n_threads=1) ->
             f"step_size={config.step_size} exceeds the augmented feature count {n}"
         )
 
-    permutation = permute_features(n, config.seed)
-    chunks = partition_features(permutation, config.step_size)
-
+    permutation = stream(config.seed, _PERMUTATION_STREAM).permutation(n)
     carry = np.empty(0, dtype=np.int64)
     rounds: list[RoundRecord] = []
-    for i, chunk in enumerate(chunks, start=1):
+    for i, start in enumerate(range(0, n, config.step_size), start=1):
+        chunk = permutation[start:start + config.step_size]
         pool = np.concatenate([chunk, carry])
         round_params = replace(
             config.forest,

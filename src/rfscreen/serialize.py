@@ -99,8 +99,8 @@ def screening_document(result: ScreeningResult) -> dict:
     )
 
 
-def pca_document(screener: dict, model: PcaModel, dataset_meta: dict,
-                 wall_s: float = 0.0, cpu_s: float = 0.0) -> dict:
+def pca_document(screener: dict, model: PcaModel, dataset_meta: dict, wall_s: float,
+                 cpu_s: float) -> dict:
     """Envelope for the transforming screener; the model rides along."""
     names = [f"pc{i + 1}" for i in range(model.n_components)]
     return envelope(

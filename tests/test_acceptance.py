@@ -16,13 +16,13 @@ from helpers import (make_dataset, mask_timing, oracle_best_split, oracle_f_scor
                      oracle_knn, random_split_instance)
 from rfscreen import (ClassifierSpec, Dataset, ForestParams, GeneratorConfig, ScreenerSpec,
                       ScreeningConfig, convergence_sweep, cross_validate,
-                      f_scores, generate, partition_features, permute_features,
-                      random_subset, screen, selection_frequency, train_forest,
+                      f_scores, generate, random_subset, screen, selection_frequency, train_forest,
                       truth_overlap)
 from rfscreen.cli import main
 from rfscreen.evaluate import fit_classifier
 from rfscreen.serialize import dumps, read_json
 from test_forest import best_split
+from test_rfms import walk
 
 ACC_GENERATOR = GeneratorConfig(
     n_classes=20, n_samples_per_class=16,
@@ -72,15 +72,14 @@ def _knn_cv(dataset, columns):
 
 def test_criterion_1_partition_arithmetic(capsys):
     started = time.perf_counter()
-    permutation = permute_features(10_000, seed=20230125)
-    chunks = partition_features(permutation, 505)
+    chunks = [r.chunk_ids for r in walk(10_000, 505, seed=20230125).rounds]
     elapsed = time.perf_counter() - started
     ok = (len(chunks) == 20
-          and all(c.shape[0] == 505 for c in chunks[:-1])
-          and chunks[-1].shape[0] == 405
+          and all(len(c) == 505 for c in chunks[:-1])
+          and len(chunks[-1]) == 405
           and sorted(np.concatenate(chunks).tolist()) == list(range(10_000)))
     announce(capsys, f"criterion 1 partition-arithmetic: {'PASS' if ok else 'FAIL'} "
-                     f"(rounds={len(chunks)}, last={chunks[-1].shape[0]}, "
+                     f"(rounds={len(chunks)}, last={len(chunks[-1])}, "
                      f"{elapsed:.3f}s)")
     assert ok
     assert elapsed < 1.0

@@ -14,9 +14,9 @@ import pytest
 import rfscreen.cli as cli
 import rfscreen.evaluate as evaluate
 import rfscreen.rfms as rfms
-from helpers import mask_timing
+from helpers import make_dataset, mask_timing
 from rfscreen import (ClassifierSpec, Dataset, ReportEntry, ScreenerSpec, SweepRow, cross_validate,
-                      load_csv)
+                      load_csv, write_csv)
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -61,6 +61,37 @@ def _screen(workspace, out="result.json", extra=()):
                  "--config", str(workspace / "screen.cfg"),
                  "--out", str(out_path), *extra])
     return code, out_path
+
+
+def _data(ws, name="data.csv"):
+    return ["--data", str(ws / name)]
+
+
+def _config(ws, text):
+    path = ws / "case.cfg"
+    path.write_text(text, encoding="utf-8")
+    return ["--config", str(path)]
+
+
+def _file(ws, name, text):
+    (ws / name).write_text(text, encoding="utf-8")
+    return name
+
+
+def _subtable(ws, name, rows=slice(None), cols=slice(None)):
+    """Write ``name``, the ``rows`` and ``cols`` of the workspace table; returns ``name``."""
+    table = load_csv(ws / "data.csv")
+    write_csv(Dataset(table.features[rows, cols], table.labels[rows],
+                      table.feature_names[cols]), ws / name)
+    return name
+
+
+def _result(ws, screener, text, data="data.csv"):
+    """``--result`` of a ``screener`` screen of ``data`` with config ``text``."""
+    out = ws / f"{screener}.json"
+    assert main(["screen", "--screener", screener, *_data(ws, data), *_config(ws, text),
+                 "--out", str(out)]) == 0
+    return ["--result", str(out)]
 
 
 class TestGenerate:
@@ -320,6 +351,22 @@ class TestEvaluate:
         assert splits == []
         assert not (workspace / "twice.json").exists()
 
+    @pytest.mark.parametrize("screener", ["kbest", "random", "pca"])
+    def test_leak_safe_refits_a_stored_baseline(self, workspace, monkeypatch, screener):
+        # the stored n_out is the screen config's reduced-size; only random stores its seed
+        result = _result(workspace, screener, "reduced-size = 5\nrandom-state = 3\n")
+        specs = []
+        fit_screener = evaluate.fit_screener
+        monkeypatch.setattr(evaluate, "fit_screener", lambda spec, *args: fit_screener(
+            specs.append(spec) or spec, *args))
+        cfg = _config(workspace, "knn-k = 1\nfolds = 3\n")
+        assert main(["evaluate", "--leak-safe", *_data(workspace), *result, *cfg,
+                     "--out", str(workspace / "safe")]) == 0
+        seed = 3 if screener == "random" else 20230125
+        assert specs == [ScreenerSpec(screener, {"n_out": 5, "seed": seed})] * 3
+        entry, = read_json(workspace / "safe.json")["entries"]
+        assert (entry["screener"], entry["n_features_out"]) == (f"{screener}(5)", 5)
+
     @pytest.mark.parametrize("top_level", [[], "x"])
     def test_non_object_result_rejected(self, workspace, capsys, top_level):
         bogus = workspace / "bogus.json"
@@ -428,6 +475,22 @@ class TestSweep:
         assert code == 2
         assert "knn-k must be at most 4" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("out, base", [("report", "report"), ("report.json", "report"),
+                                       ("rep.v1", "rep.v1"), ("rep.v1.json", "rep.v1")])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_out_names_one_json_and_csv_pair(workspace, capsys, command, out, base):
+    inputs = (_result(workspace, "kbest", "reduced-size = 5\n") if command == "evaluate"
+              else ["--screener", "kbest"])
+    cfg = _config(workspace, "knn-k = 1\nfolds = 3\n" + (
+        "feature-counts = 2, 5\n" if command == "sweep" else ""))
+    before = set(workspace.iterdir())
+    assert main([command, *_data(workspace), *inputs, *cfg,
+                 "--out", str(workspace / out)]) == 0
+    assert set(workspace.iterdir()) - before == {workspace / f"{base}.json",
+                                                 workspace / f"{base}.csv"}
+    assert str(workspace / f"{base}.json") in capsys.readouterr().out
 
 
 def _without_run_time(doc):
@@ -551,18 +614,96 @@ class TestAudit:
         assert "schema_version" in capsys.readouterr().err
 
 
+# case -> (workspace -> argv without --out, stderr fragment); each exits 2 and writes nothing
+VALIDATION_CASES = {
+    "unreadable-config": (lambda ws: ["screen", *_data(ws), "--config", str(ws / "absent.cfg")],
+                          "cannot read config file"),
+    "key-without-value": (lambda ws: ["screen", *_data(ws), *_config(
+        ws, "reduced-size = 5\nn-trees =\n")], "case.cfg:2: expected 'key = value'"),
+    "unparsable-value": (lambda ws: ["screen", *_data(ws), *_config(ws, "reduced-size = five\n")],
+                         "config key 'reduced-size': cannot parse 'five'"),
+    "missing-required-key": (lambda ws: ["screen", *_data(ws), *_config(ws, "step-size = 20\n")],
+                             "config key 'reduced-size' is required for screen"),
+    "out-of-range-value": (lambda ws: ["screen", *_data(ws), *_config(
+        ws, "step-size = 20\nreduced-size = 5\nn-trees = 0\n")],
+        "config key 'n-trees': value 0 out of range"),
+    "generate-blend-counts-out-of-order": (lambda ws: ["generate", *_config(
+        ws, "min-count = 3\nmax-count = 2\n")], "blend counts must satisfy 1 <= min <= max"),
+    "label-only-table": (lambda ws: [
+        "screen", *_data(ws, _file(ws, "labels.csv", "label\n1\n2\n")),
+        *_config(ws, "reduced-size = 1\n")], "no feature columns besides 'label'"),
+    "rfms-carry-above-step": (lambda ws: ["screen", *_data(ws), *_config(
+        ws, "step-size = 4\nreduced-size = 5\n")], "reduced_size may not exceed step_size"),
+    "baseline-wider-than-the-table": (lambda ws: ["screen", "--screener", "kbest", *_data(ws),
+                                                  *_config(ws, "reduced-size = 41\n")],
+                                      "reduced-size must be in 1..40"),
+    "one-fold": (lambda ws: ["evaluate", *_data(ws), *_result(ws, "kbest", "reduced-size = 5\n"),
+                             "--folds", "1"], "--folds must be at least 2"),
+    "rfms-without-step-size": (lambda ws: ["screen", *_data(ws), *_config(
+        ws, "reduced-size = 5\n")], "config key 'step-size' is required for rfms"),
+    "pca-of-another-width": (lambda ws: ["evaluate", *_data(ws), *_result(
+        ws, "pca", "reduced-size = 2\n", _subtable(ws, "narrow.csv", cols=slice(3)))],
+        "result was fitted on 3 features, dataset has 40"),
+    "selection-lists-a-canary": (lambda ws: ["evaluate", *_data(ws), *_result(
+        ws, "random", "reduced-size = 46\nn-canaries = 6\n")],
+        "is a canary and does not exist in the dataset"),
+    "sweep-count-above-width": (lambda ws: ["sweep", "--screener", "kbest", *_data(ws), *_config(
+        ws, "feature-counts = 5, 41\n")], "feature-counts must be at most 40"),
+    "sweep-count-above-pca-limit": (lambda ws: [
+        "sweep", "--screener", "pca", *_data(ws, _subtable(ws, "short.csv", rows=slice(16))),
+        *_config(ws, "feature-counts = 20\n")], "feature-counts exceed the PCA component limit"),
+}
+
+
 class TestParsing:
     def test_usage_error_exits_two(self):
         assert main(["screen", "--bogus-flag"]) == 2
 
-    def test_runtime_failure_exits_one(self, workspace, capsys):
-        # folds exceed the per-class sample count only once work starts
-        _, result = _screen(workspace)
-        code = main(["evaluate", "--data", str(workspace / "data.csv"),
-                     "--result", str(result), "--out", str(workspace / "r"),
-                     "--folds", "20"])
+    def test_runtime_failure_exits_one(self, tmp_path, capsys):
+        # 25 components fit the whole 30-row table, but not a 24-row training fold,
+        # and that shows only once the fold fits start
+        rng = np.random.default_rng(3)
+        write_csv(make_dataset(rng.normal(size=(30, 30)), np.repeat([1, 2, 3], 10)),
+                  tmp_path / "square.csv")
+        cfg, result = tmp_path / "pca.cfg", tmp_path / "pca.json"
+        cfg.write_text("reduced-size = 25\n", encoding="utf-8")
+        data = ["--data", str(tmp_path / "square.csv")]
+        assert main(["screen", "--screener", "pca", *data, "--config", str(cfg),
+                     "--out", str(result)]) == 0
+        before = sorted(tmp_path.iterdir())
+        code = main(["evaluate", *data, "--result", str(result), "--leak-safe",
+                     "--out", str(tmp_path / "r")])
         assert code == 1
         assert "runtime error" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_validation_error_exits_two_before_any_file(self, workspace, capsys, case):
+        make_argv, fragment = VALIDATION_CASES[case]
+        argv = make_argv(workspace)
+        before = sorted(workspace.iterdir())
+        capsys.readouterr()
+        assert main([*argv, "--out", str(workspace / "never")]) == 2
+        assert fragment in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["evaluate", "--leak-safe"], ["sweep", "--screener", "rfms"],
+    ], ids=["evaluate", "evaluate-leak-safe", "sweep"])
+    def test_class_below_folds_exits_two_before_any_screen(self, workspace, monkeypatch, capsys,
+                                                           command):
+        _, result = _screen(workspace)
+        inputs = (["--result", str(result)] if command[0] == "evaluate" else
+                  _config(workspace, "step-size = 20\nn-trees = 5\nfeature-counts = 5\n"))
+        for module, name in ((cli, "screen"), (evaluate, "screen"), (evaluate, "fit_screener")):
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name: pytest.fail(f"{name} ran"))
+        before = sorted(workspace.iterdir())
+        code = main([*command, *_data(workspace), *inputs, "--folds", "9",
+                     "--out", str(workspace / "never")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: class 1 has 8 samples, fewer than folds=9\n"
+        assert sorted(workspace.iterdir()) == before
 
     def test_duplicate_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"

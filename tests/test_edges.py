@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, oracle_f_scores
-from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreeningConfig,
-                      canary_block, f_scores,
-                      forest_predict_batch, kbest_fscore, load_csv, partition_features,
-                      pca_transform, permute_features, pca_fit, screen, train_forest)
+from rfscreen import (ClassifierSpec, Dataset, FeatureSubset, ForestParams, GeneratorConfig,
+                      ScreenerSpec, ScreeningConfig, canary_block, convergence_sweep, f_scores,
+                      fit_screener, forest_predict_batch, generate, kbest_fscore, load_csv,
+                      pca_transform, pca_fit, screen, screen_once_report, stratified_kfold,
+                      train_forest, truth_overlap)
 from rfscreen.cli import main
 
 
@@ -69,16 +70,87 @@ class TestForestEdges:
             forest_predict_batch(model, np.zeros((4, 5)))
 
 
-class TestPipelineEdges:
-    def test_permute_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            permute_features(0, seed=1)
+def _leaky_rfms_fit():
+    # 4 columns and 2 canaries, every one of them carried: both canaries survive
+    ds = make_dataset(np.random.default_rng(2).normal(size=(12, 4)), [1, 2] * 6)
+    fit_screener(ScreenerSpec("rfms", config=ScreeningConfig(
+        step_size=6, reduced_size=6, n_canaries=2,
+        forest=ForestParams(n_trees=1, n_subfeatures=1))), ds)
 
-    def test_partition_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            partition_features(np.arange(5), 0)
-        with pytest.raises(ValueError):
-            partition_features(np.arange(5), 6)
+
+_TINY = make_dataset(np.arange(8.0).reshape(4, 2), [1, 2, 1, 2])
+
+
+def _generator(**overrides):
+    return GeneratorConfig(**{"n_classes": 2, "n_samples_per_class": 2, "n_true_features": 1,
+                              "n_fake_features": 1, "min_count": 1, "max_count": 1,
+                              **overrides})
+
+
+# case -> (call, exception type, message fragment)
+LIBRARY_FAILURES = {
+    "rfms-fit-keeps-a-canary": (_leaky_rfms_fit, RuntimeError,
+                                "screen selected 2 canary feature(s)"),
+    "kfold-class-below-folds-after-an-absent-class": (
+        lambda: stratified_kfold(make_dataset(np.zeros((7, 1)), [1] * 5 + [3] * 2), 3, 0),
+        ValueError, "class 3 has 2 samples, fewer than folds=3"),
+    "screen-carries-nothing": (
+        lambda: ScreeningConfig(step_size=4, reduced_size=0,
+                                forest=ForestParams(n_trees=1, n_subfeatures=1)),
+        ValueError, "reduced_size must be positive"),
+    "generator-without-samples": (lambda: _generator(n_samples_per_class=0), ValueError,
+                                  "n_samples_per_class must be positive"),
+    "generator-negative-hidden-count": (lambda: _generator(n_fake_features=-1), ValueError,
+                                        "hidden feature counts must be nonnegative"),
+    "generator-without-hidden-features": (
+        lambda: _generator(n_true_features=0, n_fake_features=0), ValueError,
+        "at least one hidden feature is required"),
+    "generator-without-outputs": (lambda: _generator(n_features_out=0), ValueError,
+                                  "n_features_out must be positive"),
+    "generator-negative-location-sharing": (lambda: _generator(location_sharing_extent=-1),
+                                            ValueError,
+                                            "location_sharing_extent must be nonnegative"),
+    "dataset-features-not-2d": (lambda: Dataset(np.zeros(2), [1, 2], ("a",)), ValueError,
+                                "features must be a 2-D matrix"),
+    "dataset-labels-of-another-length": (lambda: Dataset(np.zeros((3, 1)), [1, 2], ("a",)),
+                                         ValueError,
+                                         "labels must be a vector with one entry per sample"),
+    "dataset-names-of-another-count": (lambda: Dataset(np.zeros((2, 1)), [1, 2], ("a", "b")),
+                                       ValueError,
+                                       "feature_names length must match the feature count"),
+    "dataset-repeated-name": (lambda: Dataset(np.zeros((2, 2)), [1, 2], ("a", "a")), ValueError,
+                              "feature names must be unique"),
+    "unknown-screener": (lambda: ScreenerSpec("lasso"), ValueError, "unknown screener 'lasso'"),
+    "unknown-classifier": (lambda: ClassifierSpec("svm"), ValueError,
+                           "unknown classifier 'svm'"),
+    "screen-once-without-classifiers": (
+        lambda: screen_once_report(_TINY, fit_screener(ScreenerSpec("identity"), _TINY),
+                                   "identity", 0.0, []),
+        ValueError, "parameter grid must be non-empty"),
+    "sweep-without-classifiers": (lambda: convergence_sweep(_TINY, ScreenerSpec("kbest"), [], [1]),
+                                  ValueError, "classifier grid must be non-empty"),
+    "kbest-wider-than-the-table": (lambda: kbest_fscore(_TINY, 3), ValueError,
+                                   "k_out must be in 1..2"),
+    "pca-of-one-row": (lambda: pca_fit(_TINY, 1, rows=[0]), ValueError,
+                       "PCA needs at least 2 samples"),
+    "forest-of-no-rows": (lambda: train_forest(make_dataset(np.zeros((0, 2)), []),
+                                               ForestParams(n_trees=1, n_subfeatures=1)),
+                          ValueError, "dataset is empty"),
+    "truth-overlap-of-nothing": (
+        lambda: truth_overlap(FeatureSubset(()), generate(_generator())[1]), ValueError,
+        "selection is empty"),
+}
+
+
+class TestPipelineEdges:
+    @pytest.mark.parametrize("case", sorted(LIBRARY_FAILURES))
+    def test_library_failure_names_its_cause(self, tmp_path, monkeypatch, case):
+        call, error, fragment = LIBRARY_FAILURES[case]
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(error) as raised:
+            call()
+        assert fragment in str(raised.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_canaries_rejected(self):
         with pytest.raises(ValueError):

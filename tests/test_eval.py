@@ -269,11 +269,11 @@ class TestFoldGather:
 
 
 class TestFitScreener:
-    def test_random_seed_defaults_to_the_library_seed(self):
+    def test_random_spec_without_a_seed_fails_by_name_when_fitted(self):
         ds = _blobs(seed=11, f=20)
-        default = fit_screener(ScreenerSpec("random", {"n_out": 5}), ds)
-        explicit = fit_screener(ScreenerSpec("random", {"n_out": 5, "seed": 20230125}), ds)
-        assert default.selected == explicit.selected
+        with pytest.raises(ValueError,
+                           match=r"^a random spec needs params\['seed'\] to be fitted$"):
+            fit_screener(ScreenerSpec("random", {"n_out": 5}), ds)
 
 
 class TestCrossValidate:

@@ -11,46 +11,51 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, mask_timing, oracle_screen, traced_peak
-from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig, ScreeningResult,
-                      cli,
-                      partition_features, permute_features, screen,
-                      selection_frequency, train_forest)
+from rfscreen import (Dataset, FeatureSubset, ForestParams, ScreenerSpec, ScreeningConfig,
+                      ScreeningResult, cli, screen, selection_frequency, train_forest)
 from rfscreen.serialize import dumps, screening_document
+
+
+def walk(n, step, seed=0):
+    """A screen of an ``n``-column, 6-row constant table at ``step`` with a one-tree forest:
+    its permutation and rounds show how ``screen`` walks the feature space."""
+    table = make_dataset(np.zeros((6, n)), [1, 2] * 3)
+    return screen(table, ScreeningConfig(step_size=step, reduced_size=1, seed=seed,
+                                         forest=ForestParams(n_trees=1, n_subfeatures=1)))
+
+
+def chunks(result):
+    return [list(r.chunk_ids) for r in result.rounds]
 
 
 class TestPermutation:
     def test_single_feature_is_identity(self):
-        assert permute_features(1, seed=0).tolist() == [0]
+        assert walk(1, 1).permutation == (0,)
 
     def test_deterministic(self):
-        assert permute_features(50, seed=9).tolist() == permute_features(50, seed=9).tolist()
+        assert walk(50, 50, seed=9).permutation == walk(50, 50, seed=9).permutation
 
     def test_bijection(self):
-        assert sorted(permute_features(1000, seed=4).tolist()) == list(range(1000))
+        assert sorted(walk(1000, 1000, seed=4).permutation) == list(range(1000))
 
 
 class TestPartition:
     def test_ceil_arithmetic(self):
-        chunks = partition_features(np.arange(10), 4)
-        assert [c.tolist() for c in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        result = walk(10, 4)
+        perm = list(result.permutation)
+        assert chunks(result) == [perm[0:4], perm[4:8], perm[8:10]]
 
     def test_wide_table_chunking(self):
-        chunks = partition_features(np.arange(10_000), 505)
-        assert len(chunks) == 20
-        assert all(c.shape[0] == 505 for c in chunks[:-1])
-        assert chunks[-1].shape[0] == 405
+        sizes = [len(c) for c in chunks(walk(10_000, 505))]
+        assert sizes == [505] * 19 + [405]
 
     def test_single_chunk(self):
-        perm = permute_features(17, seed=2)
-        chunks = partition_features(perm, 17)
-        assert len(chunks) == 1
-        assert np.array_equal(chunks[0], perm)
+        result = walk(17, 17, seed=2)
+        assert chunks(result) == [list(result.permutation)]
 
     def test_chunks_partition_the_feature_set(self):
-        perm = permute_features(103, seed=5)
-        chunks = partition_features(perm, 25)
-        joined = np.concatenate(chunks)
-        assert sorted(joined.tolist()) == list(range(103))
+        joined = sum(chunks(walk(103, 25, seed=5)), [])
+        assert sorted(joined) == list(range(103))
 
 
 class TestScreenOracle:
