@@ -152,15 +152,15 @@ def _load_config(args, schema, context) -> dict:
         if args.folds < 2:
             raise ValidationError("--folds must be at least 2")
         cfg["folds"] = args.folds
-    # --threads is no config key: it sets every forest's ForestParams.n_workers
+    # --threads is no config key: it sets the CSV workers and every forest's n_workers
     if args.threads is not None and args.threads < 1:
         raise ValidationError("--threads must be at least 1")
     return {**cfg, "threads": args.threads or 1}
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args, threads: int) -> Dataset:
     try:
-        dataset = load_csv(args.data, label_column=args.label_column)
+        dataset = load_csv(args.data, label_column=args.label_column, n_workers=threads)
     except (OSError, CsvFormatError) as exc:
         raise ValidationError(str(exc)) from None
     if dataset.n_classes < 2:
@@ -223,20 +223,24 @@ def _screener_spec(name: str, cfg: dict, n_out: int, n_features: int) -> Screene
     return ScreenerSpec("rfms", config=config)
 
 
-def _classifier_grid(cfg: dict, which: str, dataset: Dataset, width: int) -> list[ClassifierSpec]:
+def _classifier_grid(cfg: dict, which: str, dataset: Dataset, width: int,
+                     fold_pca: bool = False) -> list[ClassifierSpec]:
     """The ``which`` classifiers of a config for ``width`` screened features, checked before work.
 
     A class with fewer rows than ``folds`` fails here, with ``stratified_kfold``'s message,
-    and ``knn-k`` may not exceed the smallest training fold of that split."""
+    and neither ``knn-k`` nor, when PCA is fitted per fold (``fold_pca``), ``width`` may
+    exceed the smallest training fold of that split."""
     folds = cfg["folds"]
     try:
         split = stratified_kfold(dataset, folds, cfg["random-state"])
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     smallest = min(train.size for train, _ in split)
-    if which in ("knn", "all") and max(cfg["knn-k"]) > smallest:
-        raise ValidationError(
-            f"knn-k must be at most {smallest}, the smallest training fold at folds={folds}")
+    for name, value in (("knn-k", which in ("knn", "all") and max(cfg["knn-k"])),
+                        ("pca width", fold_pca and width)):
+        if value > smallest:
+            raise ValidationError(f"{name} must be at most {smallest}, "
+                                  f"the smallest training fold at folds={folds}")
     knn = [ClassifierSpec("knn", {"k": k}) for k in cfg["knn-k"]]
     rf = [ClassifierSpec("rf", forest=_forest_params(cfg, "rf-", width, round))]
     majority = [ClassifierSpec("majority")]
@@ -255,7 +259,7 @@ def cmd_generate(args) -> int:
         raise ValidationError(str(exc)) from None
     dataset, provenance = generate(gen_config)
     out = Path(args.out)
-    write_csv(dataset, out, label_column=args.label_column)
+    write_csv(dataset, out, label_column=args.label_column, n_workers=cfg["threads"])
     sidecar = out.with_name(out.stem + ".provenance.json")
     write_json({"schema_version": 1, "kind": "provenance", **provenance.to_dict()}, sidecar)
     print(f"wrote {dataset.n_samples} samples x {dataset.n_features} features "
@@ -299,7 +303,7 @@ def _screen_baseline(dataset: Dataset, spec: ScreenerSpec, cfg: dict) -> dict:
 
 def cmd_screen(args) -> int:
     cfg = _load_config(args, _SCREEN_KEYS, "screen")
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg["threads"])
     spec = _screener_spec(args.screener, cfg, cfg["reduced-size"], dataset.n_features)
     doc = (screening_document(screen(dataset, spec.config)) if spec.config
            else _screen_baseline(dataset, spec, cfg))
@@ -350,13 +354,14 @@ def _screener_spec_from_document(doc: dict, n_features: int, threads: int) -> Sc
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg["threads"])
     doc = _read_result(args.result)
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
         spec = _screener_spec_from_document(doc, dataset.n_features, cfg["threads"])
-        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
+        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]),
+                                fold_pca=spec.name == "pca")
         report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         fitted = _selection_from_document(doc, dataset)
@@ -377,7 +382,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args, _SWEEP_KEYS, "sweep")
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg["threads"])
     counts = cfg["feature-counts"]
     if any(c > dataset.n_features for c in counts):
         raise ValidationError(f"feature-counts must be at most {dataset.n_features}")
@@ -389,7 +394,8 @@ def cmd_sweep(args) -> int:
                           dataset.n_features)
     if spec.name == "pca" and max(counts) > min(dataset.n_samples, dataset.n_features):
         raise ValidationError("feature-counts exceed the PCA component limit")
-    grids = [_classifier_grid(cfg, args.classifier, dataset, count) for count in counts]
+    grids = [_classifier_grid(cfg, args.classifier, dataset, count,
+                              fold_pca=spec.name == "pca" and args.leak_safe) for count in counts]
     # one sweep per run of adjacent counts with equal grids, so k-best fits once per run
     rows = [row for grid, run in groupby(zip(grids, counts), key=lambda pair: pair[0])
             for row in convergence_sweep(dataset, spec, grid, [count for _, count in run],
@@ -431,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override random-state")
         p.add_argument("--threads", type=int,
-                       help="worker processes per forest, capped at usable CPUs and trees")
+                       help="worker processes for CSV load and write and for each forest, "
+                            "capped at usable CPUs")
         p.add_argument("--label-column", default="label")
         if data:
             p.add_argument("--data", required=True, help="input dataset CSV")

@@ -8,8 +8,14 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
+import os
+import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,20 +109,64 @@ class FeatureSubset:
         return len(self.indices)
 
 
-def load_csv(path, label_column: str = "label") -> Dataset:
+def _parts(n: int, n_workers: int) -> list[range]:
+    """``range(n)`` cut into one contiguous part per worker: at most ``n_workers``, ``n``
+    and the usable CPUs, and one where ``os.fork`` is missing."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w = max(1, min(n_workers, n, cpus or 1)) if hasattr(os, "fork") else 1
+    return [range(n * i // w, n * (i + 1) // w) for i in range(w)]
+
+
+def _fork_map(work, parts, failed=lambda part, exc: exc) -> list:
+    """``[work(part) for part in parts]``: part 0 in the caller, each other in a forked child
+    that pickles back its result or exception, which the caller raises as ``failed(part, exc)``.
+    ``work`` may make no BLAS call, which BLAS threads that fork left behind could block.
+    A ``finally`` kills and reaps every child."""
+    children = []  # (pid, reader, part) of each forked child
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child runs its part and never returns
+                try:
+                    try:
+                        result = work(part)
+                    except Exception as exc:
+                        result = exc
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(result, fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), part))
+        results = [work(parts[0])]
+        for _, reader, part in children:  # EOF: the child has sent all it will
+            result = pickle.load(reader) if reader.peek(1) else RuntimeError("no result")
+            if isinstance(result, Exception):
+                raise failed(part, result)
+            results.append(result)
+    finally:  # one whose result was read is only exiting
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return results
+
+
+def load_csv(path, label_column: str = "label", n_workers: int = 1) -> Dataset:
     """Read a UTF-8 comma-separated file into a Dataset.
 
     The first row is the header; a leading byte-order mark is ignored.  Every
     column except ``label_column`` must parse as a finite float under
-    ``float()``; the first violation is reported with its 1-based data row and
-    column name.  Labels are remapped to ``1..k`` in order of first occurrence.
-    Each data row becomes one float64 array, and the matrix is built from them
-    in one column-major copy that :class:`Dataset` keeps without copying again.
+    ``float()``; the first violation in file order is reported with its 1-based
+    data row and column name.  Labels are remapped to ``1..k`` in order of first
+    occurrence.  Up to ``n_workers`` processes (:func:`_fork_map`) parse a block of
+    lines each (:func:`_line_blocks`) into float64 rows, and the matrix is built
+    from all rows in one column-major copy that :class:`Dataset` keeps.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        head: list[str] = []  # the header's lines, which locate the first data byte
         try:
-            header = next(reader)
+            header = next(csv.reader(head.append(line) or line for line in fh))
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
         if label_column not in header:
@@ -128,31 +178,60 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         if not feature_names:
             raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
 
-        rows: list[np.ndarray] = []
-        raw_labels: list[str] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            raw_labels.append(row.pop(label_pos))
-            try:
-                values = np.fromiter(map(float, row), np.float64, len(row))
-                if not np.isfinite(values).all():
-                    raise ValueError
-            except ValueError:
-                raise _bad_cell(path, row_num, feature_names, row) from None
-            rows.append(values)
-        if not rows:
-            raise CsvFormatError(f"{path}: no data rows")
+        def parse(lines, first_row: int):  # one block's raw labels and float64 rows
+            rows: list[np.ndarray] = []
+            raw_labels: list[str] = []
+            for row_num, row in enumerate(csv.reader(lines), start=first_row):
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+                    )
+                raw_labels.append(row.pop(label_pos))
+                try:
+                    values = np.fromiter(map(float, row), np.float64, len(row))
+                    if not np.isfinite(values).all():
+                        raise ValueError
+                except ValueError:
+                    raise _bad_cell(path, row_num, feature_names, row) from None
+                rows.append(values)
+            return raw_labels, rows
 
-    features, rows = np.array(rows, order="F"), None  # no rows alive in Dataset's checks
+        blocks = _line_blocks(path, len("".join(head).encode()), n_workers) or [(fh, 1)]
+        blocks = _fork_map(lambda block: parse(*block), blocks)
+    raw_labels = [raw for labels, _ in blocks for raw in labels]
+    if not raw_labels:
+        raise CsvFormatError(f"{path}: no data rows")
+    rows = [row for _, block in blocks for row in block]
+    features, rows, blocks = np.array(rows, order="F"), None, None  # none alive in the checks
     remap: dict[str, int] = {}
     return Dataset(
         features=features,
         labels=[remap.setdefault(raw, len(remap) + 1) for raw in raw_labels],
         feature_names=feature_names,
     )
+
+
+def _line_blocks(path, start: int, n_workers: int) -> list:
+    r"""``(lines, first row)`` of each :func:`_parts` block of the data lines after the
+    header's ``start`` bytes.  ``[]`` for one block, or when a line may not be one row:
+    when one holds a ``"`` byte or a ``\r`` outside ``\r\n``."""
+    with open(path, "rb") as fh:
+        starts = [start + (3 if fh.read(3) == b"\xef\xbb\xbf" else 0)]  # each line's first byte
+        fh.seek(starts[0])
+        for line in fh if n_workers > 1 else ():
+            if b'"' in line or b"\r" in line.removesuffix(b"\r\n"):
+                return []
+            starts.append(starts[-1] + len(line))
+    blocks = _parts(len(starts) - 1, n_workers)
+    return [] if len(blocks) < 2 else [
+        (_lines(path, starts[block.start], len(block)), block.start + 1) for block in blocks]
+
+
+def _lines(path, start: int, n: int):
+    """The ``n`` lines from byte ``start`` of a file, decoded; the file opens at the first."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        yield from map(bytes.decode, itertools.islice(fh, n))
 
 
 def _bad_cell(path, row_num: int, names, cells) -> CsvFormatError:
@@ -166,18 +245,34 @@ def _bad_cell(path, row_num: int, names, cells) -> CsvFormatError:
             return CsvFormatError(f"{path}: {kind} value {cell!r} at row {row_num}, column {name}")
 
 
-def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
+def write_csv(dataset: Dataset, path, label_column: str = "label", n_workers: int = 1) -> None:
     """Write the standard CSV form: header row, label column first.
 
     The header goes through ``csv.writer``, which quotes names as needed.
     Each data row is one ``repr`` per float, joined by hand one row at a
     time (no cell needs quoting), so a round-trip through :func:`load_csv`
-    reproduces the matrix exactly and no Python copy of the table is built.
+    reproduces the matrix exactly and no process holds more than one row of text.
+    Up to ``n_workers`` processes (:func:`_fork_map`) write a block of rows each:
+    the caller the first, into ``path``, and a child each other one, into an
+    anonymous file beside ``path`` that the caller then appends.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
         csv.writer(fh).writerow([label_column, *dataset.feature_names])
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
+        blocks = _parts(dataset.n_samples, n_workers)
+        spools = [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline="", dir=os.path.dirname(os.path.abspath(path))))
+            for _ in blocks[1:]]
+        _fork_map(lambda block: _write_rows(dataset, *block), list(zip(blocks, [fh, *spools])))
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
+
+
+def _write_rows(dataset: Dataset, rows: range, fh) -> None:
+    for label, row in zip(dataset.labels[rows.start:rows.stop],
+                          dataset.features[rows.start:rows.stop]):
+        fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
+    fh.flush()
 
 
 def stratified_kfold(dataset: Dataset, folds: int, seed: int):
@@ -201,10 +296,5 @@ def stratified_kfold(dataset: Dataset, folds: int, seed: int):
         members = members[rng.permutation(members.size)]
         for fold_id, chunk in enumerate(np.array_split(members, folds)):
             assignment[chunk] = fold_id
-    out = []
-    everything = np.arange(dataset.n_samples)
-    for fold_id in range(folds):
-        test = everything[assignment == fold_id]
-        train = everything[assignment != fold_id]
-        out.append((train, test))
-    return out
+    return [(np.flatnonzero(assignment != fold_id), np.flatnonzero(assignment == fold_id))
+            for fold_id in range(folds)]

@@ -16,13 +16,12 @@ and leaf-label ties prefer the smallest class id.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _fork_map, _parts
 from .rng import DEFAULT_SEED, stream
 
 
@@ -35,7 +34,8 @@ class ForestParams:
     Depth is unconstrained; growth stops on purity, on
     ``min_samples_leaf``, or when no split gains at least
     ``min_purity_increase`` weighted Gini decrease.  ``n_workers`` processes
-    grow the trees, at most one per tree and per usable CPU, for the same bits.
+    grow the trees, at most one per tree and per usable CPU, for the same bits
+    (the CLI's ``--threads``, which splits its CSV load and write the same way).
     :func:`train_forest` checks the knobs that depend on the table.
     """
 
@@ -287,9 +287,8 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
 
     Tree ``t`` derives bootstrap and per-node feature draws from the stream
     keyed by ``(params.seed, t)``.  Each worker grows a contiguous range of
-    trees, the caller the first and a forked child each other one.  A child
-    makes no BLAS call, so BLAS threads that fork left behind cannot block it;
-    it pickles back its trees or its error, and is reaped before this returns.
+    trees, the caller the first and a forked child each other one
+    (:func:`~rfscreen.data._fork_map`); a child's failure names its range.
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
@@ -305,38 +304,12 @@ def train_forest(dataset: Dataset, params: ForestParams) -> ForestModel:
     y0 = dataset.labels - 1
     k = dataset.n_classes
     ranks = _dense_ranks(X)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = min(params.n_workers, params.n_trees, cpus or 1) if hasattr(os, "fork") else 1
-    ranges = [range(params.n_trees * w // n, params.n_trees * (w + 1) // n) for w in range(n)]
-    children = []  # (pid, reader, tree ids) of each forked child
-    try:
-        for ids in ranges[1:]:
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child grows its range and never returns
-                try:
-                    try:
-                        result = _grow_trees(X, ranks, y0, k, params, ids)
-                    except Exception as exc:
-                        result = repr(exc)
-                    with os.fdopen(write, "wb") as fh:
-                        pickle.dump(result, fh)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb"), ids))
-        trees = _grow_trees(X, ranks, y0, k, params, ranges[0])
-        for _, reader, ids in children:  # EOF: the child has sent all it will
-            result = pickle.loads(reader.read() or pickle.dumps("no result"))
-            if isinstance(result, str):
-                raise RuntimeError(f"forest worker for trees {ids[0]}..{ids[-1]} failed: {result}")
-            trees += result
-    finally:  # kill and reap every child; one whose trees were read is only exiting
-        for pid, reader, _ in children:
-            reader.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-    return ForestModel(trees=trees, n_features=dataset.n_features,
-                       n_classes=k, params=params)
+    parts = _fork_map(lambda ids: _grow_trees(X, ranks, y0, k, params, ids),
+                      _parts(params.n_trees, params.n_workers),
+                      lambda ids, exc: RuntimeError(
+                          f"forest worker for trees {ids[0]}..{ids[-1]} failed: {exc!r}"))
+    return ForestModel(trees=[tree for trees in parts for tree in trees],
+                       n_features=dataset.n_features, n_classes=k, params=params)
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:

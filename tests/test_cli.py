@@ -535,6 +535,32 @@ class TestThreads:
             docs.append(dumps(_without_run_time(read_json(out.with_suffix(".json")))))
         assert docs[0] == docs[1]
 
+    def test_chain_writes_the_same_bytes_at_one_and_two_threads(self, tmp_path, monkeypatch):
+        # generate -> screen -> evaluate, each at --threads n: the CSV split across workers
+        csv_workers = []
+        for name in ("load_csv", "write_csv"):
+            monkeypatch.setattr(cli, name, lambda *args, fn=getattr(cli, name), **kw:
+                                csv_workers.append(kw["n_workers"]) or fn(*args, **kw))
+        (tmp_path / "gen.cfg").write_text(GEN_CFG, encoding="utf-8")
+        (tmp_path / "screen.cfg").write_text(SCREEN_CFG, encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            run.mkdir()
+            data, result, report = run / "data.csv", run / "result.json", run / "report"
+            flags = ["--threads", threads]
+            assert main(["generate", "--config", str(tmp_path / "gen.cfg"), "--out", str(data),
+                         *flags]) == 0
+            assert main(["screen", "--data", str(data), "--config", str(tmp_path / "screen.cfg"),
+                         "--out", str(result), *flags]) == 0
+            assert main(["evaluate", "--data", str(data), "--result", str(result),
+                         "--classifier", "all", "--out", str(report), *flags]) == 0
+            outputs.append((data.read_bytes(),
+                            [dumps(_without_run_time(read_json(path)))
+                             for path in (result, report.with_suffix(".json"))]))
+        assert csv_workers == [1, 1, 1, 2, 2, 2]
+        assert outputs[0] == outputs[1]
+
 
 def test_records_csv_writes_the_fields_in_order_with_repr_floats():
     from rfscreen.serialize import records_csv
@@ -652,6 +678,14 @@ VALIDATION_CASES = {
     "sweep-count-above-pca-limit": (lambda ws: [
         "sweep", "--screener", "pca", *_data(ws, _subtable(ws, "short.csv", rows=slice(16))),
         *_config(ws, "feature-counts = 20\n")], "feature-counts exceed the PCA component limit"),
+    # 35 components fit the whole 40-row table, but not a 30-row training fold
+    "pca-wider-than-a-training-fold": (lambda ws: [
+        "evaluate", "--leak-safe", *_data(ws), *_result(ws, "pca", "reduced-size = 35\n")],
+        "pca width must be at most 30, the smallest training fold at folds=5"),
+    "sweep-pca-wider-than-a-training-fold": (lambda ws: [
+        "sweep", "--screener", "pca", "--leak-safe", *_data(ws),
+        *_config(ws, "feature-counts = 5, 35\n")],
+        "pca width must be at most 30, the smallest training fold at folds=5"),
 }
 
 
@@ -659,17 +693,20 @@ class TestParsing:
     def test_usage_error_exits_two(self):
         assert main(["screen", "--bogus-flag"]) == 2
 
-    def test_runtime_failure_exits_one(self, tmp_path, capsys):
-        # 25 components fit the whole 30-row table, but not a 24-row training fold,
-        # and that shows only once the fold fits start
+    def test_runtime_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a fold's PCA fit that fails shows only once the fold fits start
         rng = np.random.default_rng(3)
         write_csv(make_dataset(rng.normal(size=(30, 30)), np.repeat([1, 2, 3], 10)),
                   tmp_path / "square.csv")
         cfg, result = tmp_path / "pca.cfg", tmp_path / "pca.json"
-        cfg.write_text("reduced-size = 25\n", encoding="utf-8")
+        cfg.write_text("reduced-size = 20\n", encoding="utf-8")
         data = ["--data", str(tmp_path / "square.csv")]
         assert main(["screen", "--screener", "pca", *data, "--config", str(cfg),
                      "--out", str(result)]) == 0
+
+        def failing_fit(*args):
+            raise ValueError("fold fit failed on purpose")
+        monkeypatch.setattr(evaluate, "pca_fit", failing_fit)
         before = sorted(tmp_path.iterdir())
         code = main(["evaluate", *data, "--result", str(result), "--leak-safe",
                      "--out", str(tmp_path / "r")])

@@ -1,6 +1,7 @@
 """Dataset model, CSV round-trips, and stratified splitting."""
 
 import codecs
+import itertools
 import re
 import tracemalloc
 
@@ -15,6 +16,18 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+WORKERS = (1, 2)  # CSV worker counts: every CSV case runs at both
+
+
+def _outcome(path, n_workers):
+    """What loading ``path`` gives: the dataset's bytes, labels and names, or the error."""
+    try:
+        ds = load_csv(path, n_workers=n_workers)
+    except CsvFormatError as exc:
+        return str(exc)
+    return ds.features.tobytes(), ds.labels.tolist(), ds.feature_names
 
 
 class TestLoadCsv:
@@ -56,25 +69,33 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="duplicate"):
             load_csv(path)
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, forks):
         rng = np.random.default_rng(5)
         ds = make_dataset(rng.normal(size=(7, 3)), rng.integers(1, 4, size=7) % 3 + 1)
         path = tmp_path / "roundtrip.csv"
-        write_csv(ds, path)
-        again = load_csv(path)
-        assert again == ds
+        for n_workers in WORKERS:
+            forks.clear()
+            write_csv(ds, path, n_workers=n_workers)
+            again = load_csv(path, n_workers=n_workers)
+            assert again == ds
+            assert len(forks) == 2 * (n_workers - 1)  # one child to write, one to load
 
-    def test_write_matches_cell_by_cell_oracle(self, tmp_path):
+    def test_write_matches_cell_by_cell_oracle(self, tmp_path, forks):
         values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, -2.5e-300, 123456789.0]
         X = np.array([values, values[::-1], [v * -7 for v in values]])
         names = ("plain", "with,comma", 'with "quote"', "with\nnewline", " spaced ",
                  "ünï", "x;y", "")
         ds = make_dataset(X, [3, 1, 2], names=names)
         written, expected = tmp_path / "written.csv", tmp_path / "oracle.csv"
-        write_csv(ds, written, label_column="class id")
         oracle_write_csv(X, [3, 1, 2], names, expected, label_column="class id")
-        assert written.read_bytes() == expected.read_bytes()
-        assert load_csv(written, label_column="class id").features.tolist() == X.tolist()
+        for n_workers in WORKERS:
+            forks.clear()
+            write_csv(ds, written, label_column="class id", n_workers=n_workers)
+            assert written.read_bytes() == expected.read_bytes()
+            loaded = load_csv(written, label_column="class id", n_workers=n_workers)
+            assert loaded.features.tolist() == X.tolist()
+            assert loaded.feature_names == names
+            assert len(forks) == 2 * (n_workers - 1)  # quoted names in the header only
 
     def test_remapped_label_maximum_counts_distinct_sources(self, tmp_path):
         path = _write(tmp_path, "label,f1\nx,1\ny,2\nz,3\nx,4\n")
@@ -89,45 +110,86 @@ class TestLoadCsv:
         ("label,f1,f2\na,1,2\nb,3\nc,4,5\n", "row 2 has 2 cells, expected 3"),
         ("label,f1,f2\na,1,2\n\nc,4,5\n", "row 2 has 0 cells, expected 3"),
     ])
-    def test_first_bad_cell_of_a_row_is_reported(self, tmp_path, text, message):
+    def test_first_bad_cell_of_a_row_is_reported(self, tmp_path, forks, text, message):
         path = _write(tmp_path, text)
         with pytest.raises(CsvFormatError, match=re.escape(f"{path}: {message}")):
             load_csv(path)
+        # 12 good rows before (lead) or after the text's rows put the bad one in either
+        # block of two workers, and the message names its row in the whole file
+        header, rows = text.split("\n", 1)
+        for lead, n_workers in itertools.product((0, 12), WORKERS):
+            forks.clear()
+            path.write_text(f"{header}\n" + "z,0,0\n" * lead + rows + "z,0,0\n" * (12 - lead),
+                            encoding="utf-8")
+            expected = re.sub(r"row (\d+)", lambda m: f"row {int(m[1]) + lead}", message)
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                load_csv(path, n_workers=n_workers)
+            assert len(forks) == n_workers - 1
+
+    @pytest.mark.parametrize("text, n_blocks", [
+        ("label,f1\na,1\n\nb,2\nc,3\n", 2),  # a blank line
+        ('label,f1\na,1\nb,"2"\nc,3\nd,4\n', 1),  # a quoted cell
+        ("label,f1\na,1\nb,2\nc,3\n", 2),  # an odd row count
+        ("label,f1\na,1.5", 1),  # one row, no final newline
+        ("label,f1\ra,1\rb,2\rc,3\r", 1),  # \r-only lines
+        ("label,f1\r\na,1\r\nb,2\rc,3\r\nd,4\r\n", 1),  # one \r inside \r\n lines
+        ("label,f1\r\na,1\r\nb,2\r\nc,3\r\nd,4\r\n", 2),
+    ], ids=["blank-line", "quoted-cell", "odd-rows", "one-row", "cr-only", "lone-cr", "crlf"])
+    def test_two_workers_load_what_one_loads(self, tmp_path, forks, text, n_blocks):
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(text.encode())
+        alone = _outcome(path, 1)
+        assert _outcome(path, 2) == alone
+        assert len(forks) == n_blocks - 1
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_parse_matches_cell_by_cell_oracle(self, tmp_path, newline):
+    def test_parse_matches_cell_by_cell_oracle(self, tmp_path, forks, newline):
         lines = ["f1,label,f2,f3",
                  " 1.5 ,b,1_000,\u0661\u0662",
                  "-0.0,a,5e-324,1e-400",
                  '"2.5",b,-7,+3E2']
         path = tmp_path / "cells.csv"
-        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
-        rows, labels, names = oracle_load_csv(path)
-        ds = load_csv(path)
-        assert ds.features.tobytes() == np.array(rows, dtype=np.float64).tobytes()
-        assert ds.labels.tolist() == labels == [1, 2, 1]
-        assert ds.feature_names == names == ("f1", "f2", "f3")
+        # the quoted cell keeps the file in one block; unquoted, two workers split it
+        for quote, n_workers in [('"', n) for n in WORKERS] + [("", 2)]:
+            forks.clear()
+            text = newline.join(lines).replace('"', quote) + newline
+            path.write_bytes(text.encode("utf-8"))
+            rows, labels, names = oracle_load_csv(path)
+            ds = load_csv(path, n_workers=n_workers)
+            assert ds.features.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+            assert ds.labels.tolist() == labels == [1, 2, 1]
+            assert ds.feature_names == names == ("f1", "f2", "f3")
+            assert len(forks) == (n_workers - 1 if not quote else 0)
 
     @pytest.mark.parametrize("header, row", [("label,f1", "a,1"), ("f1,label", "1,a")])
-    def test_leading_byte_order_mark_ignored(self, tmp_path, header, row):
+    def test_leading_byte_order_mark_ignored(self, tmp_path, forks, header, row):
         path = tmp_path / "bom.csv"
         path.write_bytes(codecs.BOM_UTF8 + f"{header}\r\n{row}\r\n".encode())
         ds = load_csv(path)
         assert ds.feature_names == ("f1",)
         assert ds.features.tolist() == [[1.0]]
+        # two rows: two workers split them, after the header and its byte-order mark
+        path.write_bytes(codecs.BOM_UTF8 + f"{header}\r\n{row}\r\n{row}\r\n".encode())
+        ds = load_csv(path, n_workers=2)
+        assert ds.feature_names == ("f1",)
+        assert ds.features.tolist() == [[1.0], [1.0]]
+        assert len(forks) == 1
 
-    def test_load_holds_the_table_at_most_three_times(self, tmp_path):
+    def test_load_holds_the_table_at_most_three_times(self, tmp_path, forks):
         rng = np.random.default_rng(11)
         path = tmp_path / "wide.csv"
         write_csv(make_dataset(rng.normal(size=(100, 1000)), [1, 2] * 50), path)
-        tracemalloc.start()
-        try:
-            ds = load_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ds.features.flags.f_contiguous
-        assert peak <= 3 * ds.features.nbytes
+        for n_workers in WORKERS:
+            forks.clear()
+            tracemalloc.start()
+            try:
+                ds = load_csv(path, n_workers=n_workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ds.features.flags.f_contiguous
+            assert peak <= 3 * ds.features.nbytes
+            assert len(forks) == n_workers - 1
 
 class TestDatasetModel:
     def test_immutable_arrays(self):

@@ -1,6 +1,7 @@
 """Forest engine: split finding, training, prediction, importance, worker processes."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from helpers import (count_internal_nodes, forest_bytes, make_dataset, oracle_be
                      random_split_instance)
 from rfscreen import (ForestModel, ForestParams, Tree, forest_predict_batch,
                       selection_frequency, train_forest)
+import rfscreen.data as data
 import rfscreen.forest as forest
+from rfscreen import CsvFormatError, load_csv, write_csv
 from rfscreen.forest import _dense_ranks, _scan, _scan_pass
 
 
@@ -293,15 +296,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _failing_scan(monkeypatch, in_child: bool):
-    """Make ``_scan`` raise in the forked workers (``in_child``) or in the caller only."""
-    caller, scan = os.getpid(), forest._scan
+def _failing(monkeypatch, module, name: str, in_child: bool):
+    """Make ``module.name`` raise in the forked workers (``in_child``) or in the caller only."""
+    caller, fn = os.getpid(), getattr(module, name)
 
     def failing(*args):
         if (os.getpid() != caller) == in_child:
-            raise ValueError("scan failed on purpose")
-        return scan(*args)
-    monkeypatch.setattr(forest, "_scan", failing)
+            raise ValueError(f"{name.strip('_')} failed on purpose")
+        return fn(*args)
+    monkeypatch.setattr(module, name, failing)
 
 
 @pytest.mark.usefixtures("eight_cpus")
@@ -319,20 +322,16 @@ class TestWorkers:
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_trees, n_workers", [(1, 1), (1, 2), (3, 5), (2, 8)])
-    def test_more_workers_than_trees(self, monkeypatch, n_trees, n_workers):
+    def test_more_workers_than_trees(self, forks, n_trees, n_workers):
         ds = _random_training_set(4)
         alone = train_forest(ds, _params(n_trees=n_trees))
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         model = train_forest(ds, _params(n_trees=n_trees, n_workers=n_workers))
         assert forest_bytes(model) == forest_bytes(alone)
         assert len(forks) == min(n_trees, n_workers) - 1  # one worker per tree at most
         assert_no_child_left()
 
-    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         train_forest(_random_training_set(4), _params(n_trees=6, n_workers=5))
         assert len(forks) == 1
 
@@ -340,15 +339,33 @@ class TestWorkers:
         with pytest.raises(ValueError, match="n_workers must be positive"):
             train_forest(_random_training_set(0), _params(n_workers=0))
 
-    def test_worker_failure_names_its_tree_range(self, monkeypatch):
-        _failing_scan(monkeypatch, in_child=True)
-        with pytest.raises(RuntimeError, match=r"forest worker for trees 3\.\.5 failed: "
-                           r"ValueError\('scan failed on purpose'\)"):
-            train_forest(_random_training_set(5), _params(n_trees=6, n_workers=2))
+    @pytest.mark.parametrize("layer", ["forest", "load", "write"])
+    def test_child_failure_surfaces_in_the_caller(self, monkeypatch, tmp_path, forks, layer):
+        # one fork mechanism: a forest names the failed tree range, CSV I/O raises
+        # what one process would
+        if layer == "forest":
+            _failing(monkeypatch, forest, "_scan", in_child=True)
+            error, message = RuntimeError, (r"forest worker for trees 3\.\.5 failed: "
+                                            r"ValueError\('scan failed on purpose'\)")
+            run = lambda: train_forest(_random_training_set(5), _params(n_trees=6, n_workers=2))
+        elif layer == "load":
+            path = tmp_path / "bad.csv"  # the bad row is in the second half
+            path.write_text("label,f1\n" + "a,1\n" * 9 + "b,x\n", encoding="utf-8")
+            with pytest.raises(CsvFormatError) as serial:
+                load_csv(path)
+            error, message = CsvFormatError, f"^{re.escape(str(serial.value))}$"
+            run = lambda: load_csv(path, n_workers=2)
+        else:
+            _failing(monkeypatch, data, "_write_rows", in_child=True)
+            error, message = ValueError, "^write_rows failed on purpose$"
+            run = lambda: write_csv(_random_training_set(5), tmp_path / "out.csv", n_workers=2)
+        with pytest.raises(error, match=message):
+            run()
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_caller_failure_kills_and_reaps_every_worker(self, monkeypatch):
-        _failing_scan(monkeypatch, in_child=False)
+        _failing(monkeypatch, forest, "_scan", in_child=False)
         with pytest.raises(ValueError, match="scan failed on purpose"):
             train_forest(_random_training_set(6), _params(n_trees=9, n_workers=3))
         assert_no_child_left()
