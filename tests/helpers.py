@@ -220,6 +220,80 @@ def oracle_knn(train_X, train_y, query, k):
     return max(votes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
 
+def oracle_folds(labels, folds, seed):
+    """Stratified ``(train rows, test rows)`` pairs, ascending: the generator of
+    ``SeedSequence([seed, 0x5F01D])`` permutes the rows of class 1, 2, ... in turn,
+    and each class's permuted rows are cut into ``folds`` runs, the first
+    ``size % folds`` of them one row longer; run ``i`` is that class's test rows in fold ``i``."""
+    labels = [int(v) for v in labels]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F01D]))
+    fold_of = [None] * len(labels)
+    for cls in range(1, max(labels) + 1):
+        members = [i for i, v in enumerate(labels) if v == cls]
+        if not members:
+            continue
+        members = [members[j] for j in rng.permutation(len(members))]
+        size, extra = divmod(len(members), folds)
+        start = 0
+        for fold in range(folds):
+            stop = start + size + (fold < extra)
+            for i in members[start:stop]:
+                fold_of[i] = fold
+            start = stop
+    return [([i for i, f in enumerate(fold_of) if f != fold],
+             [i for i, f in enumerate(fold_of) if f == fold]) for fold in range(folds)]
+
+
+def oracle_screener_columns(X, y, screener, rows):
+    """The columns a ``screener`` tuple keeps when fitted on ``rows``: ``("identity",)``
+    keeps all; ``("kbest", k)`` the ``k`` highest :func:`oracle_f_scores` of the rows,
+    by a lexsort with ties to the lower column; ``("random", k, seed)`` the ``k`` draws of
+    ``choice(p, k, replace=False)`` from ``SeedSequence([seed, 0x5AB])``, in draw order."""
+    p = X.shape[1]
+    if screener[0] == "identity":
+        return list(range(p))
+    if screener[0] == "kbest":
+        scores = oracle_f_scores(X[rows], y[rows])
+        return [int(j) for j in np.lexsort((np.arange(p), -scores))[:screener[1]]]
+    rng = np.random.default_rng(np.random.SeedSequence([screener[2], 0x5AB]))
+    return [int(j) for j in rng.choice(p, size=screener[1], replace=False)]
+
+
+def oracle_majority(labels) -> int:
+    """The most frequent label, ties to the smallest."""
+    counts = {}
+    for v in labels:
+        counts[int(v)] = counts.get(int(v), 0) + 1
+    return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+
+
+def oracle_cells(X, y, screener, classifiers, folds, seed, screen_once=False):
+    """``(width, fold accuracies)`` of each classifier cell of one screener, straight-line.
+
+    ``classifiers`` holds ``("knn", k)`` and ``("majority",)`` tuples.  The folds are
+    :func:`oracle_folds`; the screener is fitted on each fold's training rows, or once
+    on every row when ``screen_once``.  Each test row is classified by :func:`oracle_knn`
+    over the training rows' screened columns, or by :func:`oracle_majority` of the
+    training labels, and a fold's accuracy is its hits over its test rows."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    whole = oracle_screener_columns(X, y, screener, list(range(len(y)))) if screen_once else None
+    cells = [[] for _ in classifiers]
+    for train, test in oracle_folds(y, folds, seed):
+        cols = whole or oracle_screener_columns(X, y, screener, train)
+        train_X = X[np.ix_(train, cols)]
+        for classifier, accuracies in zip(classifiers, cells):
+            hits = 0
+            for t in test:
+                if classifier[0] == "knn":
+                    label = oracle_knn(train_X, y[train], X[t, cols], classifier[1])
+                else:
+                    label = oracle_majority(y[train])
+                hits += int(label == y[t])
+            accuracies.append(hits / len(test))
+    return [(len(cols), tuple(accuracies)) for accuracies in cells]
+
+
 def oracle_f_scores(X, y):
     """Per-feature one-way ANOVA from the raw sum-of-squares decomposition."""
     X = np.asarray(X, dtype=np.float64)

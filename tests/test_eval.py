@@ -7,7 +7,7 @@ import pytest
 
 from dataclasses import replace
 
-from helpers import make_dataset, oracle_knn, tied_table, traced_peak
+from helpers import make_dataset, oracle_cells, oracle_knn, tied_table, traced_peak
 from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig, baselines,
                       convergence_sweep, cross_validate, evaluate, f_scores, fit_screener,
                       grid_search, kbest_fscore, pca_fit, pca_transform, screen_once_report,
@@ -583,6 +583,69 @@ class TestGridSearch:
         ds = _blobs(seed=14)
         with pytest.raises(ValueError):
             grid_search(ds, [], [ClassifierSpec("majority")], folds=2, seed=0)
+
+
+def _tied_rows_table(seed):
+    """40 rows over 3 classes of 4 to 7 columns: small integers with many distance ties,
+    two shifted columns, the last column twice the second (its F-score ties that one's
+    bit for bit), a constant column, and 12 rows that repeat others under fresh labels,
+    so kNN and majority votes tie too."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(4, 8))
+    y = rng.permutation(np.repeat([1, 2, 3], [14, 13, 13]))
+    X = rng.integers(0, 3, size=(40, p)).astype(np.float64)
+    X[:, 0] += 0.5 * y
+    X[:, 1] += 0.25 * y
+    X[28:] = X[rng.choice(28, 12, replace=False)]
+    X[:, -1] = 2 * X[:, 1]
+    if p > 4:
+        X[:, 2] = 1.5
+    return make_dataset(X, y)
+
+
+class TestGridOracle:
+    """Whole kNN and majority grids against :func:`helpers.oracle_cells`, which
+    recomputes every cell with straight-line code and no library call."""
+
+    CLASSIFIERS = [("knn", 1), ("knn", 2), ("knn", 4), ("knn", 5), ("majority",)]
+
+    @staticmethod
+    def _specs(seed):
+        """Each screener as a spec and as the oracle's tuple."""
+        width = 2 + seed % 2
+        return [(ScreenerSpec("identity"), ("identity",)),
+                (ScreenerSpec("kbest", {"n_out": width}), ("kbest", width)),
+                (ScreenerSpec("random", {"n_out": width, "seed": seed}), ("random", width, seed))]
+
+    @staticmethod
+    def _grid():
+        return [ClassifierSpec("knn", {"k": c[1]}) if c[0] == "knn" else ClassifierSpec(c[0])
+                for c in TestGridOracle.CLASSIFIERS]
+
+    @staticmethod
+    def _observed(entries):
+        return [(e.n_features_out, e.fold_accuracies) for e in entries]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leak_safe_grid_matches_oracle(self, seed):
+        ds = _tied_rows_table(seed)
+        folds = 3 + seed % 3
+        specs = self._specs(seed)
+        report = grid_search(ds, [s for s, _ in specs], self._grid(), folds=folds, seed=seed)
+        expected = [cell for _, o in specs for cell in oracle_cells(
+            ds.features, ds.labels, o, self.CLASSIFIERS, folds, seed)]
+        assert self._observed(report.entries) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_screen_once_report_matches_oracle(self, seed):
+        ds = _tied_rows_table(100 + seed)
+        folds = 3 + seed % 3
+        for spec, o in self._specs(seed):
+            report = screen_once_report(ds, fit_screener(spec, ds), spec.label(), 0.0,
+                                        self._grid(), folds=folds, seed=seed)
+            expected = oracle_cells(ds.features, ds.labels, o, self.CLASSIFIERS, folds, seed,
+                                    screen_once=True)
+            assert self._observed(report.entries) == expected, spec.label()
 
 
 def _shifted_table(n_rows, n_cols):
