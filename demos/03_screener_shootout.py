@@ -7,7 +7,7 @@ subset is the control: any screener worth running must clear it.
 
 import time
 
-from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
+from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, PcaModel, ScreenerSpec,
                       ScreeningConfig, cross_validate, fit_screener, generate,
                       screen_once_report)
 
@@ -38,7 +38,7 @@ for spec in screeners:
     screening_cpu = time.process_time() - started
     entry = screen_once_report(dataset, fitted, spec.label(), screening_cpu, [knn],
                                folds=5, seed=1).best
-    tag = "transforms" if fitted.transforming else "subset"
+    tag = "transforms" if isinstance(fitted, PcaModel) else "subset"
     print(f"{spec.name:<10} {entry.mean_accuracy:>9.3f} {screening_cpu:>10.2f}s  ({tag})")
 
 baseline = cross_validate(dataset, ScreenerSpec("identity"), knn, folds=5, seed=1)

@@ -84,6 +84,9 @@ class PcaModel:
     def n_components(self) -> int:
         return self.components.shape[1]
 
+    def __len__(self) -> int:
+        return self.n_components
+
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     # Deterministic orientation: the largest-magnitude entry of each

@@ -20,10 +20,10 @@ import time
 from itertools import groupby
 from pathlib import Path
 
-from .baselines import f_scores, pca_fit, random_subset, top_k
+from .baselines import PcaModel, f_scores, pca_fit, random_subset, top_k
 from .data import CsvFormatError, Dataset, FeatureSubset, load_csv, stratified_kfold, write_csv
-from .evaluate import (ClassifierSpec, FittedScreener, ScreenerSpec, convergence_sweep,
-                       grid_search, screen_once_report)
+from .evaluate import (ClassifierSpec, ScreenerSpec, convergence_sweep, grid_search,
+                       screen_once_report)
 from .forest import ForestParams
 from .rfms import ScreeningConfig, canary_block, screen
 from .rng import DEFAULT_SEED
@@ -314,7 +314,7 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
+def _selection_from_document(doc: dict, dataset: Dataset) -> FeatureSubset | PcaModel:
     """The whole-table fit that a stored screening result holds, checked against the dataset."""
     if doc.get("transforming"):
         model = pca_model_from_document(doc)
@@ -322,7 +322,7 @@ def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
             raise ValidationError(
                 f"result was fitted on {model.n_features} features, "
                 f"dataset has {dataset.n_features}")
-        return FittedScreener(pca=model)
+        return model
     position = {name: i for i, name in enumerate(dataset.feature_names)}
     columns = {}
     for item in doc["selected"]:
@@ -338,7 +338,7 @@ def _selection_from_document(doc: dict, dataset: Dataset) -> FittedScreener:
                 f"selected feature {item['name']!r} not found in the dataset; "
                 "feature names do not match")
         columns[item["name"]] = position[item["name"]]
-    return FittedScreener(selected=FeatureSubset(tuple(columns.values())))
+    return FeatureSubset(tuple(columns.values()))
 
 
 def _screener_spec_from_document(doc: dict, n_features: int, threads: int) -> ScreenerSpec:
@@ -356,18 +356,21 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args, _EVAL_KEYS, "evaluate")
     dataset = _load_dataset(args, cfg["threads"])
     doc = _read_result(args.result)
+    width = len(doc["selected"])
+    if not width:
+        raise ValidationError("result selects no feature; there is nothing to evaluate")
     folds = cfg["folds"]
     seed = cfg["random-state"]
     if args.leak_safe:
         spec = _screener_spec_from_document(doc, dataset.n_features, cfg["threads"])
-        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]),
+        grid = _classifier_grid(cfg, args.classifier, dataset, width,
                                 fold_pca=spec.name == "pca")
         report = grid_search(dataset, [spec], grid, folds=folds, seed=seed)
     else:
         fitted = _selection_from_document(doc, dataset)
-        grid = _classifier_grid(cfg, args.classifier, dataset, len(doc["selected"]))
+        grid = _classifier_grid(cfg, args.classifier, dataset, width)
         report = screen_once_report(
-            dataset, fitted, f"{doc['screener']['name']}({fitted.n_out})",
+            dataset, fitted, f"{doc['screener']['name']}({len(fitted)})",
             float(doc["timing"]["cpu_s"]), grid, folds=folds, seed=seed)
 
     base = _write_pair(report_document(report, folds), records_csv(report.entries), args.out)

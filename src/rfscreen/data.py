@@ -158,46 +158,52 @@ def load_csv(path, label_column: str = "label", n_workers: int = 1) -> Dataset:
     The first row is the header; a leading byte-order mark is ignored.  Every
     column except ``label_column`` must parse as a finite float under
     ``float()``; the first violation in file order is reported with its 1-based
-    data row and column name.  Labels are remapped to ``1..k`` in order of first
-    occurrence.  Up to ``n_workers`` processes (:func:`_fork_map`) parse a block of
-    lines each (:func:`_line_blocks`) into float64 rows, and the matrix is built
-    from all rows in one column-major copy that :class:`Dataset` keeps.
+    data row and column name.  A file holding a byte that is not UTF-8 is
+    reported, before any other fault, by the header or data row that holds the
+    first one.  Labels are remapped to ``1..k`` in order of first occurrence.
+    Up to ``n_workers`` processes (:func:`_fork_map`) parse a block of lines
+    each (:func:`_line_blocks`) into float64 rows, and the matrix is built from
+    all rows in one column-major copy that :class:`Dataset` keeps.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        head: list[str] = []  # the header's lines, which locate the first data byte
-        try:
-            header = next(csv.reader(head.append(line) or line for line in fh))
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise CsvFormatError(f"{path}: label column {label_column!r} not found in header")
-        label_pos = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
-        if len(set(feature_names)) != len(feature_names):
-            raise CsvFormatError(f"{path}: duplicate feature names in header")
-        if not feature_names:
-            raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            head: list[str] = []  # the header's lines, which locate the first data byte
+            try:
+                header = next(csv.reader(head.append(line) or line for line in fh))
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file") from None
+            if label_column not in header:
+                raise CsvFormatError(f"{path}: label column {label_column!r} not found in header")
+            label_pos = header.index(label_column)
+            feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
+            if len(set(feature_names)) != len(feature_names):
+                raise CsvFormatError(f"{path}: duplicate feature names in header")
+            if not feature_names:
+                raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
 
-        def parse(lines, first_row: int):  # one block's raw labels and float64 rows
-            rows: list[np.ndarray] = []
-            raw_labels: list[str] = []
-            for row_num, row in enumerate(csv.reader(lines), start=first_row):
-                if len(row) != len(header):
-                    raise CsvFormatError(
-                        f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                    )
-                raw_labels.append(row.pop(label_pos))
-                try:
-                    values = np.fromiter(map(float, row), np.float64, len(row))
-                    if not np.isfinite(values).all():
-                        raise ValueError
-                except ValueError:
-                    raise _bad_cell(path, row_num, feature_names, row) from None
-                rows.append(values)
-            return raw_labels, rows
+            def parse(lines, first_row: int):  # one block's raw labels and float64 rows
+                rows: list[np.ndarray] = []
+                raw_labels: list[str] = []
+                for row_num, row in enumerate(csv.reader(lines), start=first_row):
+                    if len(row) != len(header):
+                        raise CsvFormatError(
+                            f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+                        )
+                    raw_labels.append(row.pop(label_pos))
+                    try:
+                        values = np.fromiter(map(float, row), np.float64, len(row))
+                        if not np.isfinite(values).all():
+                            raise ValueError
+                    except ValueError:
+                        raise _bad_cell(path, row_num, feature_names, row) from None
+                    rows.append(values)
+                return raw_labels, rows
 
-        blocks = _line_blocks(path, len("".join(head).encode()), n_workers) or [(fh, 1)]
-        blocks = _fork_map(lambda block: parse(*block), blocks)
+            blocks = _line_blocks(path, len("".join(head).encode()), n_workers) or [(fh, 1)]
+            blocks = _fork_map(lambda block: parse(*block), blocks)
+    except (CsvFormatError, UnicodeDecodeError) as exc:
+        # decoding may run a chunk ahead of parsing, so a bad byte wins at any worker count
+        raise _bad_byte(path) or exc from None
     raw_labels = [raw for labels, _ in blocks for raw in labels]
     if not raw_labels:
         raise CsvFormatError(f"{path}: no data rows")
@@ -232,6 +238,18 @@ def _lines(path, start: int, n: int):
     with open(path, "rb") as fh:
         fh.seek(start)
         yield from map(bytes.decode, itertools.islice(fh, n))
+
+
+def _bad_byte(path) -> CsvFormatError:
+    """The error naming the header or the 1-based data row that holds a file's first byte
+    that is not UTF-8: rows decoded with each such byte kept as a lone surrogate."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for row_num, row in enumerate(csv.reader(fh)):
+            try:
+                "".join(row).encode()
+            except UnicodeEncodeError:
+                where = f"row {row_num}" if row_num else "the header"
+                return CsvFormatError(f"{path}: {where} holds a byte that is not UTF-8")
 
 
 def _bad_cell(path, row_num: int, names, cells) -> CsvFormatError:

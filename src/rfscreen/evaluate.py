@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import PcaModel, kbest_fscore, pca_fit, pca_transform, random_subset
 from .data import Dataset, FeatureSubset, stratified_kfold
-from .forest import ForestParams, _cpu_seconds, forest_predict_batch, train_forest
+from .forest import ForestParams, _cpu_seconds, _vote, forest_predict_batch, train_forest
 from .rfms import ScreeningConfig, screen
 from .rng import DEFAULT_SEED
 
@@ -89,31 +89,14 @@ class ClassifierSpec:
         return "majority"
 
 
-@dataclass(frozen=True)
-class FittedScreener:
-    """Reduction learned on training rows; applies to any row matrix."""
-
-    selected: FeatureSubset | None = None
-    pca: PcaModel | None = None
-
-    @property
-    def transforming(self) -> bool:
-        return self.pca is not None
-
-    @property
-    def n_out(self) -> int:
-        if self.pca is not None:
-            return self.pca.n_components
-        return len(self.selected)
-
-
-def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScreener:
+def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FeatureSubset | PcaModel:
     """Fit the screener named by ``spec`` on the table's ``rows`` only (all by default),
-    building no table of them; rfms screens with the spec's ``ScreeningConfig``
-    unchanged and fails if a canary survives."""
+    building no table of them: the fit is the reduction itself, a ``PcaModel`` for pca
+    and a ``FeatureSubset`` for the others, its width ``len(fit)``.  rfms screens with
+    the spec's ``ScreeningConfig`` unchanged and fails if a canary survives."""
     p = spec.params
     if spec.name == "identity":
-        return FittedScreener(selected=FeatureSubset(tuple(range(dataset.n_features))))
+        return FeatureSubset(tuple(range(dataset.n_features)))
     if spec.config is not None:
         result = screen(dataset, spec.config, rows)
         if result.leak_count:
@@ -121,24 +104,17 @@ def fit_screener(spec: ScreenerSpec, dataset: Dataset, rows=None) -> FittedScree
                 f"screen selected {result.leak_count} canary feature(s); "
                 "cannot reduce to original columns"
             )
-        return FittedScreener(selected=result.selected)
+        return result.selected
     if "n_out" not in p:
         raise ValueError(f"a {spec.name} spec needs params['n_out'] to be fitted")
     n_out = int(p["n_out"])
     if spec.name == "kbest":
-        return FittedScreener(selected=kbest_fscore(dataset, n_out, rows))
+        return kbest_fscore(dataset, n_out, rows)
     if spec.name == "random":
         if "seed" not in p:
             raise ValueError("a random spec needs params['seed'] to be fitted")
-        return FittedScreener(selected=random_subset(dataset.n_features, n_out, int(p["seed"])))
-    return FittedScreener(pca=pca_fit(dataset, n_out, rows))
-
-
-def _vote(labels: np.ndarray) -> np.ndarray:
-    """Each row's most frequent label, by one ``bincount``; ties go to the smallest class id."""
-    n, width = labels.shape[0], int(labels.max(initial=0)) + 1
-    counts = np.bincount((labels + width * np.arange(n)[:, None]).ravel(), minlength=n * width)
-    return counts.reshape(n, width).argmax(axis=1)
+        return random_subset(dataset.n_features, n_out, int(p["seed"]))
+    return pca_fit(dataset, n_out, rows)
 
 
 def _neighbours(train_X, train_y, queries, k) -> np.ndarray:
@@ -226,14 +202,14 @@ def _timed(fit, *args) -> tuple:
     return fit(*args), _cpu_seconds() - t0
 
 
-def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple[FittedScreener, float]:
+def _timed_fit(screener: ScreenerSpec, dataset: Dataset, rows=None) -> tuple:
     """``fit_screener`` and its CPU seconds; the identity screener costs exactly 0."""
-    fitted, cpu = _timed(fit_screener, screener, dataset, rows)
-    return fitted, 0.0 if screener.name == "identity" else cpu
+    fit, cpu = _timed(fit_screener, screener, dataset, rows)
+    return fit, 0.0 if screener.name == "identity" else cpu
 
 
 def _fit_folds(dataset: Dataset, screener: ScreenerSpec, folds_idx, whole=None) -> list:
-    """One ``(FittedScreener, screening CPU seconds)`` per fold, fitted on its training rows;
+    """One ``(fit, screening CPU seconds)`` per fold, fitted on its training rows;
     a whole-table fit ``whole``, as the identity screener's one fit, serves every fold
     instead, its CPU seconds counted on the first.  Every fold is checked for one class."""
     if whole is None and screener.name == "identity":
@@ -265,9 +241,9 @@ def _fold_pass(dataset: Dataset, classifiers, folds_idx, fits) -> list:
     widest = max((c for c in classifiers if c.name == "knn"), default=None,
                  key=lambda c: int(c.params["k"]))
     out = [[] for _ in classifiers]
-    for (train_rows, test_rows), (fitted, _) in zip(folds_idx, fits, strict=True):
-        train_X, test_X = (pca_transform(fitted.pca, dataset.features[rows]) if fitted.transforming
-                           else _gather(dataset.features, rows, fitted.selected.indices)
+    for (train_rows, test_rows), (fit, _) in zip(folds_idx, fits, strict=True):
+        train_X, test_X = (pca_transform(fit, dataset.features[rows]) if isinstance(fit, PcaModel)
+                           else _gather(dataset.features, rows, fit.indices)
                            for rows in (train_rows, test_rows))
         train = (train_X, dataset.labels[train_rows])
         if widest is not None:
@@ -290,7 +266,7 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
 
     The screener only ever sees training rows, so the reported accuracy is
     free of selection leakage.  :func:`grid_search` shares work across cells
-    through ``fits``, one ``(FittedScreener, cpu_s)`` per fold of ``folds_idx``,
+    through ``fits``, one ``(fit, cpu_s)`` per fold of ``folds_idx``,
     and ``predictions``, one ``(test labels, fitting cpu_s)`` per fold; without
     them the folds are fitted here and the fold pass runs for this classifier
     alone, one fold's matrices at a time.  A cell's ``screening_cpu_s`` is the
@@ -308,7 +284,7 @@ def cross_validate(dataset: Dataset, screener: ScreenerSpec, classifier: Classif
     return ReportEntry(
         screener_id=screener.label(),
         classifier_id=classifier.label(),
-        n_features_out=fits[-1][0].n_out,
+        n_features_out=len(fits[-1][0]),
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         screening_cpu_s=sum(cpu for _, cpu in fits),
@@ -357,10 +333,10 @@ def _screener_cells(dataset: Dataset, s_spec: ScreenerSpec, classifiers, folds_i
             for c, p in zip(classifiers, passes, strict=True)]
 
 
-def screen_once_report(dataset: Dataset, fitted: FittedScreener, screener_id: str,
+def screen_once_report(dataset: Dataset, fit: FeatureSubset | PcaModel, screener_id: str,
                        screening_cpu_s: float, classifier_grid, folds: int = 5,
                        seed: int = DEFAULT_SEED) -> EvaluationReport:
-    """Screen-once protocol: cross-validate classifiers over ``fitted``, fitted on every
+    """Screen-once protocol: cross-validate classifiers over ``fit``, fitted on every
     row of ``dataset`` in ``screening_cpu_s``, its cells reported under ``screener_id``.
 
     That one fit serves every fold, and each fold gathers its rows of the selected
@@ -369,13 +345,13 @@ def screen_once_report(dataset: Dataset, fitted: FittedScreener, screener_id: st
     classifier_grid = list(classifier_grid)
     if not classifier_grid:
         raise ValueError("parameter grid must be non-empty")
-    if fitted.transforming:
-        dataset = Dataset(pca_transform(fitted.pca, dataset.features), dataset.labels,
-                          tuple(f"pc{i + 1}" for i in range(fitted.n_out)))
-        fitted = FittedScreener(selected=FeatureSubset(tuple(range(fitted.n_out))))
+    if isinstance(fit, PcaModel):
+        dataset = Dataset(pca_transform(fit, dataset.features), dataset.labels,
+                          tuple(f"pc{i + 1}" for i in range(len(fit))))
+        fit = FeatureSubset(tuple(range(len(fit))))
     identity = ScreenerSpec("identity")
     folds_idx = stratified_kfold(dataset, folds, seed)
-    fits = _fit_folds(dataset, identity, folds_idx, (fitted, screening_cpu_s))
+    fits = _fit_folds(dataset, identity, folds_idx, (fit, screening_cpu_s))
     return _report(replace(e, screener_id=screener_id)
                    for e in _screener_cells(dataset, identity, classifier_grid, folds_idx, fits))
 
@@ -416,9 +392,8 @@ def convergence_sweep(dataset: Dataset, screener: ScreenerSpec, classifier_grid,
     rows = []
     for count in counts:
         spec = screener.with_n_out(count)
-        fits = fit(spec) if widest is None else [
-            (FittedScreener(selected=FeatureSubset(f.selected.indices[:count])), cpu)
-            for f, cpu in widest]
+        fits = fit(spec) if widest is None else [(FeatureSubset(f.indices[:count]), cpu)
+                                                 for f, cpu in widest]
         best = (_report(_screener_cells(dataset, spec, classifier_grid, folds_idx, fits))
                 if leak_safe else screen_once_report(dataset, fits[0][0], spec.label(), fits[0][1],
                                                      classifier_grid, folds, seed)).best

@@ -325,16 +325,20 @@ def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
     return tree.klass[node]
 
 
+def _vote(labels: np.ndarray) -> np.ndarray:
+    """Each row's most frequent label, by one ``bincount``; ties go to the smallest class id.
+    The one vote of the forest, kNN and majority classifiers."""
+    n, width = labels.shape[0], int(labels.max(initial=0)) + 1
+    counts = np.bincount((labels + width * np.arange(n)[:, None]).ravel(), minlength=n * width)
+    return counts.reshape(n, width).argmax(axis=1)
+
+
 def forest_predict_batch(model: ForestModel, X) -> np.ndarray:
     """Majority vote over trees for each row; ties go to the smallest class id."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected a matrix with {model.n_features} columns")
-    votes = np.zeros((X.shape[0], model.n_classes + 1), dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    for tree in model.trees:
-        votes[rows, _tree_predict(tree, X)] += 1
-    return np.argmax(votes, axis=1)
+    return _vote(np.stack([_tree_predict(tree, X) for tree in model.trees], axis=1))
 
 
 def selection_frequency(model: ForestModel) -> np.ndarray:

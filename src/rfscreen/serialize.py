@@ -19,15 +19,9 @@ from .rfms import ScreeningResult
 SCHEMA_VERSION = 1
 
 
-def _numpy_to_json(o):
-    """``json`` hook for numpy values; ``np.float64`` is a ``float`` and never gets here."""
-    if isinstance(o, (np.ndarray, np.generic)):
-        return o.tolist()
-    raise TypeError(f"{type(o).__name__} is not JSON serializable")
-
-
 def dumps(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2, default=_numpy_to_json) + "\n"
+    """The document's JSON text; a numpy array or ``np.int64`` in it raises ``TypeError``."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(document: dict, path) -> None:
@@ -107,9 +101,9 @@ def pca_document(screener: dict, model: PcaModel, dataset_meta: dict, wall_s: fl
         screener, dataset_meta, range(model.n_components), names, wall_s, cpu_s,
         transforming=True,
         model={
-            "mean": model.mean,
-            "components": [model.components[:, c] for c in range(model.n_components)],
-            "eigenvalues": model.eigenvalues,
+            "mean": model.mean.tolist(),
+            "components": model.components.T.tolist(),
+            "eigenvalues": model.eigenvalues.tolist(),
         },
     )
 

@@ -16,7 +16,7 @@ import rfscreen.evaluate as evaluate
 import rfscreen.rfms as rfms
 from helpers import make_dataset, mask_timing
 from rfscreen import (ClassifierSpec, Dataset, ReportEntry, ScreenerSpec, SweepRow, cross_validate,
-                      load_csv, write_csv)
+                      load_csv, pca_fit, write_csv)
 from rfscreen.cli import main
 from rfscreen.serialize import dumps, read_json
 
@@ -74,7 +74,8 @@ def _config(ws, text):
 
 
 def _file(ws, name, text):
-    (ws / name).write_text(text, encoding="utf-8")
+    """Write ``text`` to ``name``, each lone surrogate as the byte that it stands for."""
+    (ws / name).write_text(text, encoding="utf-8", errors="surrogateescape")
     return name
 
 
@@ -92,6 +93,14 @@ def _result(ws, screener, text, data="data.csv"):
     assert main(["screen", "--screener", screener, *_data(ws, data), *_config(ws, text),
                  "--out", str(out)]) == 0
     return ["--result", str(out)]
+
+
+def _empty_result(ws):
+    """``--result`` of a kbest screen, edited to select no feature."""
+    argv = _result(ws, "kbest", "reduced-size = 3\n")
+    doc = read_json(argv[1])
+    Path(argv[1]).write_text(json.dumps({**doc, "selected": []}), encoding="utf-8")
+    return argv
 
 
 class TestGenerate:
@@ -562,6 +571,23 @@ class TestThreads:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("value", [np.arange(3.0), np.int64(3), np.float32(0.5)],
+                         ids=["array", "int64", "float32"])
+def test_dumps_rejects_a_numpy_value(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps({"value": value})
+
+
+def test_pca_document_round_trips_the_model_bits():
+    from rfscreen.serialize import pca_document, pca_model_from_document
+
+    rng = np.random.default_rng(8)
+    model = pca_fit(make_dataset(rng.normal(size=(20, 6)), np.repeat([1, 2], 10)), 3)
+    again = pca_model_from_document(json.loads(dumps(pca_document({}, model, {}, 0.0, 0.0))))
+    for name in ("mean", "components", "eigenvalues"):
+        assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
+
+
 def test_records_csv_writes_the_fields_in_order_with_repr_floats():
     from rfscreen.serialize import records_csv
 
@@ -655,6 +681,15 @@ VALIDATION_CASES = {
         "config key 'n-trees': value 0 out of range"),
     "generate-blend-counts-out-of-order": (lambda ws: ["generate", *_config(
         ws, "min-count = 3\nmax-count = 2\n")], "blend counts must satisfy 1 <= min <= max"),
+    "csv-byte-not-utf8": (lambda ws: [
+        "screen", "--screener", "kbest", *_data(ws, _file(ws, "latin1.csv",
+                                                          "label,f1\n1,0.5\n2,1.\udcff5\n1,2\n")),
+        *_config(ws, "reduced-size = 1\n")], "latin1.csv: row 2 holds a byte that is not UTF-8"),
+    "evaluate-empty-selection": (lambda ws: ["evaluate", *_data(ws), *_empty_result(ws)],
+                                 "result selects no feature; there is nothing to evaluate"),
+    "evaluate-leak-safe-empty-selection": (lambda ws: [
+        "evaluate", "--leak-safe", *_data(ws), *_empty_result(ws)],
+        "result selects no feature; there is nothing to evaluate"),
     "label-only-table": (lambda ws: [
         "screen", *_data(ws, _file(ws, "labels.csv", "label\n1\n2\n")),
         *_config(ws, "reduced-size = 1\n")], "no feature columns besides 'label'"),

@@ -126,6 +126,26 @@ class TestLoadCsv:
                 load_csv(path, n_workers=n_workers)
             assert len(forks) == n_workers - 1
 
+    @pytest.mark.parametrize("n_workers", WORKERS)
+    @pytest.mark.parametrize("data, where, forked", [
+        (b"label,f\xff1\na,1\n", "the header", False),
+        (b"label,f1\na,1\nb,2\nc,\xe93\nd,4\xff\n", "row 3", False),
+        # 3000 good rows put the bad one past the header read's decode chunk and in the
+        # second block of two workers
+        (b"label,f1\n" + b"z,0\n" * 3000 + b"a,1\nb,2\nc,\xe93\nd,4\xff\n", "row 3003", True),
+        # a bad cell that ends the first block is not reported before it
+        (b"label,f1\n" + b"z,0\n" * 3000 + b"b,x\nc,\xff3\n" + b"z,0\n" * 3000, "row 3002",
+         True),
+    ], ids=["header", "row", "second-block", "after-a-bad-cell"])
+    def test_first_byte_that_is_not_utf8_is_reported_by_row(self, tmp_path, forks, n_workers,
+                                                             data, where, forked):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        message = f"{path}: {where} holds a byte that is not UTF-8"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_csv(path, n_workers=n_workers)
+        assert len(forks) == (n_workers - 1 if forked else 0)
+
     @pytest.mark.parametrize("text, n_blocks", [
         ("label,f1\na,1\n\nb,2\nc,3\n", 2),  # a blank line
         ('label,f1\na,1\nb,"2"\nc,3\nd,4\n', 1),  # a quoted cell

@@ -8,10 +8,10 @@ import pytest
 from dataclasses import replace
 
 from helpers import make_dataset, oracle_cells, oracle_knn, tied_table, traced_peak
-from rfscreen import (ClassifierSpec, ForestParams, ScreenerSpec, ScreeningConfig, baselines,
-                      convergence_sweep, cross_validate, evaluate, f_scores, fit_screener,
-                      grid_search, kbest_fscore, pca_fit, pca_transform, screen_once_report,
-                      stratified_kfold)
+from rfscreen import (ClassifierSpec, FeatureSubset, ForestParams, PcaModel, ScreenerSpec,
+                      ScreeningConfig, baselines, convergence_sweep, cross_validate, evaluate,
+                      f_scores, fit_screener, grid_search, kbest_fscore, pca_fit, pca_transform,
+                      screen_once_report, stratified_kfold)
 from rfscreen.evaluate import fit_classifier
 
 
@@ -269,6 +269,19 @@ class TestFoldGather:
 
 
 class TestFitScreener:
+    @pytest.mark.parametrize("spec, kind", [
+        (ScreenerSpec("identity"), FeatureSubset),
+        (ScreenerSpec("kbest", {"n_out": 3}), FeatureSubset),
+        (ScreenerSpec("random", {"n_out": 3, "seed": 4}), FeatureSubset),
+        (_rfms(3), FeatureSubset),
+        (ScreenerSpec("pca", {"n_out": 3}), PcaModel),
+    ], ids=["identity", "kbest", "random", "rfms", "pca"])
+    def test_the_fit_is_the_reduction_at_the_spec_width(self, spec, kind):
+        ds = _blobs(seed=3, f=8)
+        fit = fit_screener(spec, ds)
+        assert type(fit) is kind
+        assert len(fit) == (ds.n_features if spec.name == "identity" else 3)
+
     def test_random_spec_without_a_seed_fails_by_name_when_fitted(self):
         ds = _blobs(seed=11, f=20)
         with pytest.raises(ValueError,
@@ -391,7 +404,7 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluate, "fit_classifier", capturing)
         screen_once_report(ds, fitted, "pca(6)", 0.0, [ClassifierSpec("knn", {"k": 1})],
                            folds=3, seed=3)
-        whole = pca_transform(fitted.pca, ds.features)
+        whole = pca_transform(fitted, ds.features)
         for (train_rows, _), got in zip(stratified_kfold(ds, 3, seed=3), seen, strict=True):
             np.testing.assert_array_equal(got, whole[train_rows])
 

@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from helpers import forest_bytes, make_dataset, mask_timing, tied_table
-from rfscreen import (ClassifierSpec, ForestParams, GeneratorConfig, ScreenerSpec,
-                      ScreeningConfig, baselines, cli, convergence_sweep, evaluate,
+from rfscreen import (ClassifierSpec, FeatureSubset, ForestParams, GeneratorConfig,
+                      ScreenerSpec, ScreeningConfig, baselines, cli, convergence_sweep, evaluate,
                       forest_predict_batch, generate, grid_search, screen,
                       selection_frequency, train_forest)
 from rfscreen.evaluate import fit_classifier
@@ -263,14 +263,13 @@ WIDE_GRIDS = {
 }
 
 
-def observe_fit(fitted) -> str:
+def observe_fit(fit) -> str:
     """sha256 of a fold's selected ids, or of the bytes of its PCA model."""
-    if fitted.pca is None:
-        data = json.dumps(list(fitted.selected.indices)).encode()
+    if isinstance(fit, FeatureSubset):
+        data = json.dumps(list(fit.indices)).encode()
     else:
-        model = fitted.pca
         data = b"".join(np.ascontiguousarray(a).tobytes()
-                        for a in (model.mean, model.components, model.eigenvalues))
+                        for a in (fit.mean, fit.components, fit.eigenvalues))
     return hashlib.sha256(data).hexdigest()
 
 
